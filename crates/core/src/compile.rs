@@ -52,10 +52,21 @@ pub struct CompileStats {
     pub rules: usize,
     /// Decision atoms (systems + hardware).
     pub decision_atoms: usize,
-    /// Total clauses pushed into the solver.
+    /// Total clauses pushed into the solver by the compile (a compile-time
+    /// snapshot; see `live_clauses` for the session as it stands).
     pub clauses: usize,
-    /// Total solver variables (atoms + auxiliaries).
+    /// Total solver variables (atoms + auxiliaries) after the compile (a
+    /// compile-time snapshot; see `live_vars`).
     pub solver_vars: usize,
+    /// Variables the session solver can still decide: not eliminated, not
+    /// released and not fixed at the root.
+    pub live_vars: usize,
+    /// Clauses (original and learnt) the session solver holds now.
+    pub live_clauses: usize,
+    /// Branching decisions made over the session's lifetime.
+    pub decisions: u64,
+    /// Literals enqueued by unit propagation over the session's lifetime.
+    pub propagations: u64,
     /// Scenario recompilations performed after engine construction. The
     /// incremental session answers every query on the original compile,
     /// so this stays 0 (capacity planning with a *changed* fleet bound is
@@ -93,6 +104,10 @@ netarch_rt::impl_json_struct!(CompileStats {
     decision_atoms,
     clauses,
     solver_vars,
+    live_vars,
+    live_clauses,
+    decisions,
+    propagations,
     recompiles,
     session_solves,
     retired_activations,

@@ -16,11 +16,11 @@
 //! The engine is an **incremental session**: the scenario is compiled to
 //! SAT exactly once, and every query runs on that one solver under
 //! assumptions. Anything a query would have asserted destructively —
-//! MaxSAT optimum hardening, enumeration blocking clauses — is gated
-//! behind a per-query activation literal that is retired (permanently
-//! falsified) when the query returns, so the gated clauses dissolve while
-//! learned clauses, branching scores, and saved phases carry over to the
-//! next query. No query triggers a recompile.
+//! MaxSAT objective circuits and optimum hardening, enumeration blocking
+//! clauses — is gated behind a per-query activation literal that is
+//! retired (permanently falsified) when the query returns, so the gated
+//! clauses dissolve while learned clauses, branching scores, and saved
+//! phases carry over to the next query. No query triggers a recompile.
 
 use crate::compile::{
     compile_capacity_with_backend, compile_with_backend, Compiled, CompiledCapacity, CompileStats,
@@ -30,9 +30,9 @@ use crate::ordering::Comparison;
 use crate::scenario::Scenario;
 use crate::solution::Design;
 use crate::types::{Dimension, SystemId};
-use netarch_logic::maxsat::{compile_softs, minimize_under, MaxSatOutcome};
-use netarch_logic::{CompiledSofts, Formula, Soft, Speculation};
-use netarch_sat::{Lit, SolveResult};
+use netarch_logic::maxsat::{minimize_under, MaxSatOutcome};
+use netarch_logic::{Formula, Soft, Speculation};
+use netarch_sat::{Lit, SessionMark, SolveResult};
 
 /// Retired activation literals tolerated before the session compacts its
 /// clause database (dropping root-satisfied gated clauses).
@@ -113,11 +113,6 @@ pub struct OptimizedDesign {
 pub struct Engine {
     scenario: Scenario,
     compiled: Compiled,
-    /// Objective totalizers with display labels, compiled into the session
-    /// on the first `optimize` and reused by every later one.
-    objective_cache: Option<Vec<(String, CompiledSofts)>>,
-    /// The implicit parsimony level, compiled alongside the objectives.
-    parsimony_cache: Option<CompiledSofts>,
     /// Memoized `optimize` verdict. The scenario is immutable for the
     /// engine's lifetime and queries are non-destructive, so the
     /// lexicographic optimum is a session constant: computed on the first
@@ -159,8 +154,6 @@ impl Engine {
         Ok(Engine {
             scenario,
             compiled,
-            objective_cache: None,
-            parsimony_cache: None,
             optimize_cache: None,
             enumerate_cache: Vec::new(),
             capacity_cache: Vec::new(),
@@ -179,7 +172,8 @@ impl Engine {
     /// counters aggregate over the main session solver, every cached
     /// capacity engine's solver (capacity probes are session solves too),
     /// and the worker solvers of the parallel query loops — effort done on
-    /// throwaway probe/cube workers is absorbed rather than lost.
+    /// throwaway probe/cube workers is absorbed rather than lost. The live
+    /// sizes describe the main session solver as it stands now.
     pub fn stats(&self) -> CompileStats {
         let mut total = *self.compiled.encoder.solver().stats();
         total.absorb(&self.compiled.encoder.parallel_worker_stats());
@@ -189,7 +183,12 @@ impl Engine {
             total.absorb(&cc.compiled.encoder.parallel_worker_stats());
             portfolio_solves += cc.compiled.encoder.portfolio_solve_count();
         }
+        let session = self.compiled.encoder.solver();
         CompileStats {
+            live_vars: session.num_live_vars(),
+            live_clauses: session.num_clauses(),
+            decisions: total.decisions,
+            propagations: total.propagations,
             recompiles: self.recompiles,
             session_solves: total.solves,
             retired_activations: total.retired_activations,
@@ -228,35 +227,13 @@ impl Engine {
         }
     }
 
-    /// Compiles the objective stack (and the implicit parsimony level)
-    /// into the session, once.
-    fn ensure_objective_cache(&mut self) -> Result<(), CompileError> {
-        if self.objective_cache.is_some() {
-            return Ok(());
-        }
-        let levels: Vec<(String, Vec<Soft>)> = self
-            .compiled
-            .objective_levels
-            .iter()
-            .map(|l| (format!("{:?}", l.objective), l.softs.clone()))
-            .collect();
-        let mut cache = Vec::with_capacity(levels.len());
-        for (name, softs) in levels {
-            let cs = compile_softs(&mut self.compiled.encoder, softs)
-                .map_err(|_| CompileError::ObjectiveOverflow)?;
-            cache.push((name, cs));
-        }
-        let parsimony: Vec<Soft> = self
-            .compiled
-            .system_atoms
-            .values()
-            .map(|&a| Soft::new(1, Formula::not(Formula::Atom(a))))
-            .collect();
-        let parsimony = compile_softs(&mut self.compiled.encoder, parsimony)
-            .map_err(|_| CompileError::ObjectiveOverflow)?;
-        self.objective_cache = Some(cache);
-        self.parsimony_cache = Some(parsimony);
-        Ok(())
+    /// Ends an `optimize` call. Its objective circuits are never needed
+    /// again (the verdict is memoized), so once the gate is retired the
+    /// clauses the call added are collected at once and every variable it
+    /// allocated is released from the session solver.
+    fn end_optimize(&mut self, gate: Lit, mark: SessionMark) {
+        self.end_query(gate);
+        self.compiled.encoder.release_since(mark);
     }
 
     fn extract_design(&self) -> Design {
@@ -305,14 +282,18 @@ impl Engine {
     /// unconstrained selections don't ride along.
     ///
     /// Runs entirely inside the session: every solve assumes the rule
-    /// selectors plus one fresh activation literal, each level's optimum
-    /// is hardened behind that literal (so later levels respect it), and
-    /// the literal is retired on return. Because no query mutates the
-    /// scenario, the verdict is then memoized: repeated `optimize` calls
-    /// replay the first report without touching the solver. A mid-descent
-    /// `HardUnsat` is impossible once the feasibility probe passed, so it
-    /// surfaces as [`CompileError::Internal`] instead of being swallowed
-    /// as an empty diagnosis.
+    /// selectors plus one fresh activation literal, and each level's
+    /// objective circuit (capped at that level's first-model cost) and
+    /// optimum are encoded behind that literal, so later levels respect
+    /// earlier optima. On return the literal is retired, the dissolved
+    /// clauses are collected and the circuits' variables are released, so
+    /// later queries run on the session as it was before `optimize`.
+    /// Because no query mutates the scenario, the verdict is memoized:
+    /// repeated `optimize` calls replay the first report without touching
+    /// the solver. A mid-descent `HardUnsat` is impossible once the
+    /// feasibility probe passed, so it surfaces as
+    /// [`CompileError::Internal`] instead of being swallowed as an empty
+    /// diagnosis.
     pub fn optimize(&mut self) -> Result<Result<OptimizedDesign, Diagnosis>, CompileError> {
         // The optimum is a session constant (nothing a query does survives
         // its gate), so replay it once computed.
@@ -323,7 +304,7 @@ impl Engine {
         // one-shot probe is the expensive verdict the portfolio backend is
         // for; the MUS extraction below needs unsat cores and stays on the
         // sequential session solver.
-        let mut base = self.compiled.all_selectors();
+        let base = self.compiled.all_selectors();
         if self.compiled.encoder.solve_with_backend(&base) != SolveResult::Sat {
             let ids = self.compiled.groups.ids();
             let mus = self
@@ -335,36 +316,40 @@ impl Engine {
             self.optimize_cache = Some(Err(diagnosis.clone()));
             return Ok(Err(diagnosis));
         }
-        self.ensure_objective_cache()?;
+        // Every level and the parsimony level share one gate: each level's
+        // circuit and hardened optimum live behind it, and retiring it ends
+        // them all.
+        let mark = self.compiled.encoder.solver().mark();
         let gate = self.compiled.encoder.new_selector();
         let mut levels = Vec::new();
-        // Each completed level's hardened bound references its (dormant by
-        // default) totalizer, so its activation literal joins the base
-        // assumptions for every later level.
-        let cache = self.objective_cache.as_ref().expect("built above");
-        for (name, softs) in cache {
-            match minimize_under(&mut self.compiled.encoder, softs, &base, gate) {
+        for level in &self.compiled.objective_levels {
+            let name = format!("{:?}", level.objective);
+            match minimize_under(&mut self.compiled.encoder, &level.softs, &base, gate) {
                 MaxSatOutcome::Optimal { cost, .. } => {
-                    levels.push(LevelReport { objective: name.clone(), penalty: cost });
-                    base.push(softs.activation());
+                    levels.push(LevelReport { objective: name, penalty: cost });
                 }
                 other => {
-                    self.compiled.encoder.retire(gate);
-                    return Err(internal_level_error(name, &other));
+                    self.end_optimize(gate, mark);
+                    return Err(internal_level_error(&name, &other));
                 }
             }
         }
         // Parsimony: prefer designs without gratuitous selections.
-        let parsimony = self.parsimony_cache.as_ref().expect("built above");
-        match minimize_under(&mut self.compiled.encoder, parsimony, &base, gate) {
+        let parsimony: Vec<Soft> = self
+            .compiled
+            .system_atoms
+            .values()
+            .map(|&a| Soft::new(1, Formula::not(Formula::Atom(a))))
+            .collect();
+        match minimize_under(&mut self.compiled.encoder, &parsimony, &base, gate) {
             MaxSatOutcome::Optimal { .. } => {}
             other => {
-                self.compiled.encoder.retire(gate);
+                self.end_optimize(gate, mark);
                 return Err(internal_level_error("parsimony", &other));
             }
         }
         let design = self.extract_design();
-        self.end_query(gate);
+        self.end_optimize(gate, mark);
         let report = OptimizedDesign { design, levels };
         self.optimize_cache = Some(Ok(report.clone()));
         Ok(Ok(report))

@@ -11,7 +11,7 @@ use crate::cardinality::{self, CardEncoding};
 use crate::sink::ClauseSink;
 use netarch_sat::{
     enumerate_projected_cubes, CubeEnumeration, Lit, Portfolio, ProbePool, ProbePoolConfig,
-    SolveResult, Solver, Stats, Var,
+    SessionMark, SolveResult, Solver, Stats, Var,
 };
 use std::sync::Arc;
 
@@ -296,11 +296,12 @@ impl Encoder {
     }
 
     /// Runs `f` with every asserted clause weakened by `!gate`, so the
-    /// whole block of constraints is dormant unless `gate` is assumed (or
-    /// asserted) true. Dormant clauses never drive propagation — the
-    /// watched `!gate` literal stays unfalsified — which is what lets a
-    /// persistent session carry e.g. an objective totalizer without taxing
-    /// queries that do not use it.
+    /// whole block of constraints is inert unless `gate` is assumed (or
+    /// asserted) true. Inert is not free: while the gate is open the
+    /// clauses stay in the watch lists and their variables in the decision
+    /// heap, so every solve still assigns those variables and visits those
+    /// clauses. Scope a block to one query's gate, then retire the gate and
+    /// release the block's variables (see [`Encoder::release_since`]).
     ///
     /// Tseitin definitions created *inside* the scope are gated too: any
     /// literal first defined here is only constrained while `gate` holds,
@@ -343,6 +344,24 @@ impl Encoder {
     /// the instance is known unsatisfiable.
     pub fn collect_garbage(&mut self) -> bool {
         self.solver.simplify()
+    }
+
+    /// Ends a per-query encoding whose gate was retired: collects its
+    /// dissolved clauses and releases the variables allocated since `mark`
+    /// (taken with `solver().mark()`) that no live clause mentions any
+    /// more (see [`netarch_sat::Solver::release_since`]). Atoms whose
+    /// variable is released are unmapped, so a later mention allocates a
+    /// fresh one. Returns how many variables were released.
+    pub fn release_since(&mut self, mark: SessionMark) -> usize {
+        let released = self.solver.release_since(mark);
+        if released > 0 {
+            for slot in &mut self.atom_vars {
+                if slot.is_some_and(|v| self.solver.is_released(v)) {
+                    *slot = None;
+                }
+            }
+        }
+        released
     }
 
     /// Returns a literal equivalent to `formula` (full Tseitin, both
@@ -593,6 +612,16 @@ impl Encoder {
     /// fresh solve to rediscover it.
     pub(crate) fn install_model_override(&mut self, model: Vec<Option<bool>>) {
         self.model_override = Some(model);
+    }
+
+    /// The latest model as a raw vector over every solver variable (the
+    /// installed override when there is one) — the inverse of
+    /// [`Encoder::install_model_override`], for a loop that must keep a
+    /// witness while it adds clauses and runs other solves.
+    pub(crate) fn model_snapshot(&self) -> Vec<Option<bool>> {
+        (0..self.solver.num_vars())
+            .map(|i| self.model_lit_value(Var::from_index(i).positive()))
+            .collect()
     }
 
     /// Folds worker-solver counters from a finished parallel query loop

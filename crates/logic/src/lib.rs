@@ -41,7 +41,7 @@ pub use backend::{
 pub use cardinality::CardEncoding;
 pub use encoder::{EncodeConfig, Encoder};
 pub use int::{Bound, OrderInt};
-pub use maxsat::{CompiledSofts, MaxSatAlgorithm, MaxSatOutcome, Soft, WeightOverflow};
+pub use maxsat::{MaxSatAlgorithm, MaxSatOutcome, Soft};
 pub use mus::{GroupId, GroupedAssertions};
 pub use sink::{ClauseSink, CollectSink};
 pub use verify::{proofs_requested, verified_solve, Verified, VerifyError};

@@ -2,10 +2,10 @@
 //!
 //! Two algorithms over the same [`Encoder`]:
 //!
-//! * **Linear GTE descent** — build a generalized totalizer over the
-//!   violation literals, then walk the achievable costs downward using
-//!   assumptions until UNSAT; the last SAT model is optimal. Works for
-//!   arbitrary weights.
+//! * **Linear GTE descent** — find a first model, build a generalized
+//!   totalizer over the violation literals capped at that model's cost,
+//!   then walk the achievable costs downward using assumptions until
+//!   UNSAT; the last SAT model is optimal. Works for arbitrary weights.
 //! * **Fu-Malik** — core-guided: repeatedly extract unsat cores over the
 //!   soft constraints' assumption literals, relax each core with fresh
 //!   blocking variables plus an exactly-one constraint. Implemented for
@@ -92,154 +92,132 @@ pub fn minimize(
     }
 }
 
-/// A soft-constraint objective compiled once for reuse across queries.
+/// Minimizes the violated weight of `softs` inside an incremental session.
 ///
-/// The violation literals and the generalized-totalizer outputs are encoded
-/// a single time; every subsequent [`minimize_under`] call performs only
-/// assumption-based descent plus activation-gated hardening, so repeated
-/// optimization of the same objective adds no permanent clauses and reuses
-/// everything the solver has learned.
-pub struct CompiledSofts {
-    softs: Vec<Soft>,
-    /// Totalizer outputs `(sum, lit)`: `lit` is forced true whenever the
-    /// violated weight reaches `sum`.
-    outputs: Vec<(u64, Lit)>,
-    /// Long-lived activation literal gating the whole totalizer. Assumed
-    /// by every solve that needs the objective circuitry; left unassumed
-    /// otherwise, so the totalizer clauses are dormant and cost nothing
-    /// on queries that never mention the objective.
-    activation: Lit,
-}
-
-impl CompiledSofts {
-    /// The soft constraints this objective minimizes.
-    pub fn softs(&self) -> &[Soft] {
-        &self.softs
-    }
-
-    /// The activation literal that switches this objective's totalizer on.
-    /// Assume it in any solve that must respect clauses referencing the
-    /// totalizer outputs (e.g. a later lexicographic level solving under a
-    /// hardened bound from this one).
-    pub fn activation(&self) -> Lit {
-        self.activation
-    }
-}
-
-/// Soft weights summed past `u64::MAX` — see [`MaxSatOutcome::WeightOverflow`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WeightOverflow;
-
-impl std::fmt::Display for WeightOverflow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "soft-constraint weights overflow u64 when summed")
-    }
-}
-
-/// Encodes the violation totalizer for `softs` once, for repeated
-/// [`minimize_under`] calls. Fails when the weights overflow `u64`.
-pub fn compile_softs(
-    encoder: &mut Encoder,
-    softs: Vec<Soft>,
-) -> Result<CompiledSofts, WeightOverflow> {
-    let total = checked_total(&softs).ok_or(WeightOverflow)?;
-    // The whole totalizer is gated behind one long-lived activation
-    // literal, so a persistent session only pays for the objective
-    // circuitry in solves that assume it.
-    let activation = encoder.new_selector();
-    let outputs = encoder.gated_scope(activation, |e| {
-        // Violation literal per soft constraint: v_i ⇔ ¬formula_i.
-        let terms: Vec<PbTerm> = softs
-            .iter()
-            .map(|s| {
-                let l = e.lit_for(&s.formula);
-                PbTerm::new(s.weight, !l)
-            })
-            .collect();
-        gte_outputs(e, &terms, total).outputs
-    });
-    Ok(CompiledSofts { softs, outputs, activation })
-}
-
-/// Minimizes a compiled objective inside an incremental session.
-///
-/// All solves run under `base ∪ {gate, activation}`, and the optimum is
-/// hardened with `gate`-gated clauses only — so when the caller retires
-/// `gate` the bound dissolves, the totalizer goes dormant again, and the
-/// session solver is back to exactly the base theory, with its learned
-/// clauses and heuristic state intact. On return the solver holds a model
-/// that is optimal under `base`.
-///
-/// A `gate`-gated hardened bound references this objective's totalizer
-/// outputs, so a caller that keeps solving under `gate` after this call
-/// (e.g. the next lexicographic level) must also keep assuming
-/// [`CompiledSofts::activation`] or the bound is vacuous.
+/// Every solve runs under `base ∪ {gate}`. The first model's cost `C0`
+/// caps the objective circuit: the generalized totalizer is built inside
+/// [`Encoder::gated_scope`]`(gate)` with outputs only up to `C0` (plus one
+/// overflow output above it), because the descent never probes a bound at
+/// or above `C0`. When `C0` is 0 no circuit is built at all: each weighted
+/// soft's violation literal is forbidden under `gate` instead. The optimum
+/// is hardened with `gate`-gated clauses only, so when the caller retires
+/// `gate` the bound and the circuit dissolve together, and the caller can
+/// hand the circuit's variables back with [`Encoder::release_since`]. A
+/// caller that keeps solving under `gate` (the next lexicographic level)
+/// keeps this level's optimum. On return the solver holds a model that is
+/// optimal under `base`.
 pub fn minimize_under(
     encoder: &mut Encoder,
-    compiled: &CompiledSofts,
+    softs: &[Soft],
     base: &[Lit],
     gate: Lit,
 ) -> MaxSatOutcome {
-    let mut context: Vec<Lit> = Vec::with_capacity(base.len() + 2);
+    if checked_total(softs).is_none() {
+        return MaxSatOutcome::WeightOverflow;
+    }
+    let mut context: Vec<Lit> = Vec::with_capacity(base.len() + 1);
     context.extend_from_slice(base);
     context.push(gate);
-    context.push(compiled.activation);
-    // When the backend grants parallel seats, the entire search —
-    // feasibility, bound probes, witness restoration — runs on one
-    // persistent probe pool, so every worker builds the CNF exactly once.
-    // The sequential path below defines the semantics; the pooled path must
-    // return exactly its answers.
-    if encoder.parallel_seats() >= 2 {
-        // Every probe assumes a subset of the context plus negated
-        // totalizer outputs; declare them all so no seat eliminates one.
+    // Violation literal per soft constraint, v_i ⇔ ¬formula_i, defined
+    // before the first solve so its model covers every soft's atoms.
+    let terms: Vec<PbTerm> = encoder.gated_scope(gate, |e| {
+        softs.iter().map(|s| PbTerm::new(s.weight, !e.lit_for(&s.formula))).collect()
+    });
+    // Decisive one-shot probes route through the configured backend (the
+    // portfolio pays off exactly here); core/MUS-bearing paths elsewhere
+    // stay on the sequential session solver.
+    if encoder.solve_with_backend(&context) != SolveResult::Sat {
+        return MaxSatOutcome::HardUnsat;
+    }
+    let first_cost = model_cost(encoder, softs);
+    let first_violated = violated_indices(encoder, softs);
+    if first_cost == 0 {
+        // Already optimal: harden "no weighted soft is violated" directly.
+        for t in terms.iter().filter(|t| t.weight > 0) {
+            ClauseSink::add_clause(encoder, &[!gate, !t.lit]);
+        }
+        return MaxSatOutcome::Optimal { cost: 0, violated: first_violated };
+    }
+    let first_model = (encoder.parallel_seats() >= 2).then(|| encoder.model_snapshot());
+    let outputs = encoder.gated_scope(gate, |e| gte_outputs(e, &terms, first_cost).outputs);
+    let objective = Objective { softs, outputs };
+    let first = (first_cost, first_violated);
+    // When the backend grants parallel seats, the descent runs on one
+    // persistent probe pool built over the CNF *with* the capped circuit,
+    // so every worker builds it exactly once. The sequential path below
+    // defines the semantics; the pooled path must return exactly its
+    // answers.
+    if let Some(first_model) = first_model {
+        // Every probe assumes the context plus negated totalizer outputs;
+        // declare them all so no seat eliminates one.
         let mut assumable = context.clone();
-        assumable.extend(compiled.outputs.iter().map(|&(_, l)| l));
+        assumable.extend(objective.outputs.iter().map(|&(_, l)| l));
         if let Some(pool) = encoder.probe_pool(&assumable) {
-            return minimize_under_pooled(encoder, compiled, &context, gate, pool);
+            return minimize_under_pooled(
+                encoder,
+                &objective,
+                &context,
+                gate,
+                pool,
+                first,
+                first_model,
+            );
         }
     }
-    minimize_under_sequential(encoder, compiled, &context, gate)
+    minimize_under_sequential(encoder, &objective, &context, gate, first)
 }
 
-/// Assumptions forcing this objective's violated weight to at most
-/// `target`: the solve context plus the negation of every totalizer output
-/// whose threshold exceeds the target.
-fn bound_assumptions(compiled: &CompiledSofts, context: &[Lit], target: u64) -> Vec<Lit> {
-    let mut assumptions = context.to_vec();
-    assumptions.extend(
-        compiled
-            .outputs
-            .iter()
-            .filter(|&&(s, _)| s > target)
-            .map(|&(_, l)| !l),
-    );
-    assumptions
+/// One level's capped objective circuit, built for a single descent.
+struct Objective<'a> {
+    softs: &'a [Soft],
+    /// Totalizer outputs `(sum, lit)`: `lit` is forced true whenever the
+    /// violated weight reaches `sum`. Sums run up to the first model's
+    /// cost, plus one overflow output just above it.
+    outputs: Vec<(u64, Lit)>,
+}
+
+impl Objective<'_> {
+    /// The achievable cost values a descent may probe: zero plus every
+    /// output sum, ascending.
+    fn candidates(&self) -> Vec<u64> {
+        std::iter::once(0).chain(self.outputs.iter().map(|&(s, _)| s)).collect()
+    }
+
+    /// Assumptions forcing the violated weight to at most `target`: the
+    /// solve context plus the negation of every output above the target.
+    fn bound(&self, context: &[Lit], target: u64) -> Vec<Lit> {
+        let mut assumptions = context.to_vec();
+        assumptions.extend(
+            self.outputs
+                .iter()
+                .filter(|&&(s, _)| s > target)
+                .map(|&(_, l)| !l),
+        );
+        assumptions
+    }
+
+    /// Hardens `cost` as an upper bound behind `gate`.
+    fn harden(&self, encoder: &mut Encoder, gate: Lit, cost: u64) {
+        for &(s, l) in &self.outputs {
+            if s > cost {
+                ClauseSink::add_clause(encoder, &[!gate, !l]);
+            }
+        }
+    }
 }
 
 fn minimize_under_sequential(
     encoder: &mut Encoder,
-    compiled: &CompiledSofts,
+    objective: &Objective,
     context: &[Lit],
     gate: Lit,
+    (mut best_cost, mut best_violated): (u64, Vec<usize>),
 ) -> MaxSatOutcome {
-    // Decisive one-shot probes route through the configured backend (the
-    // portfolio pays off exactly here); core/MUS-bearing paths elsewhere
-    // stay on the sequential session solver.
-    if encoder.solve_with_backend(context) != SolveResult::Sat {
-        return MaxSatOutcome::HardUnsat;
-    }
-    if compiled.softs.is_empty() {
-        return MaxSatOutcome::Optimal { cost: 0, violated: Vec::new() };
-    }
-    let mut best_cost = model_cost(encoder, &compiled.softs);
-    let mut best_violated = violated_indices(encoder, &compiled.softs);
-
+    let softs = objective.softs;
     // Binary-search descent over the achievable cost values (the GTE's
     // output sums plus zero). Invariant: `best_cost` is achievable, and
     // every candidate below index `lo` is proven unachievable.
-    let mut candidates: Vec<u64> = Vec::with_capacity(compiled.outputs.len() + 1);
-    candidates.push(0);
-    candidates.extend(compiled.outputs.iter().map(|&(s, _)| s));
+    let candidates = objective.candidates();
     let mut lo = 0usize;
     while best_cost > 0 {
         let hi = candidates.partition_point(|&c| c < best_cost);
@@ -248,12 +226,12 @@ fn minimize_under_sequential(
         }
         let mid = (lo + hi) / 2;
         let target = candidates[mid];
-        match encoder.solve_with_backend(&bound_assumptions(compiled, context, target)) {
+        match encoder.solve_with_backend(&objective.bound(context, target)) {
             SolveResult::Sat => {
-                let cost = model_cost(encoder, &compiled.softs);
+                let cost = model_cost(encoder, softs);
                 debug_assert!(cost <= target, "model violates assumed bound");
                 best_cost = cost.min(target);
-                best_violated = violated_indices(encoder, &compiled.softs);
+                best_violated = violated_indices(encoder, softs);
             }
             SolveResult::Unsat | SolveResult::Unknown => {
                 lo = mid + 1;
@@ -262,23 +240,18 @@ fn minimize_under_sequential(
     }
 
     // Harden the optimum behind the gate and restore an optimal model.
-    for &(s, l) in &compiled.outputs {
-        if s > best_cost {
-            ClauseSink::add_clause(encoder, &[!gate, !l]);
-        }
-    }
+    objective.harden(encoder, gate, best_cost);
     let restored = encoder.solve_with_backend(context);
     debug_assert_eq!(restored, SolveResult::Sat);
     MaxSatOutcome::Optimal { cost: best_cost, violated: best_violated }
 }
 
-/// The racing descent. Feasibility, every bound probe, and the final
-/// witness all come from one persistent [`ProbePool`], so each seat builds
-/// the CNF once and keeps its learnt clauses warm across rounds — routing
-/// each probe through a one-shot portfolio dispatch would instead rebuild
-/// the mirror on every cold worker three times over (feasibility, descent,
-/// restore), and on formulas with a large objective totalizer that rebuild
-/// tax dominates the solving itself.
+/// The racing descent. Every bound probe comes from one persistent
+/// [`ProbePool`], so each seat builds the CNF once and keeps its learnt
+/// clauses warm across rounds — routing each probe through a one-shot
+/// portfolio dispatch would instead rebuild the mirror on every cold
+/// worker per probe. The pool starts from the feasibility model the
+/// caller already holds.
 ///
 /// Each round probes a window of candidate bounds — the midpoint (the
 /// sequential probe), the quarter-point, and the most aggressive open
@@ -298,42 +271,21 @@ fn minimize_under_sequential(
 /// it. Both facts are monotone, so folding them in fixed seat order keeps
 /// the final state independent of which seat answered first — deterministic
 /// mode is bit-identical run to run. The optimal witness is the best model
-/// a worker already produced, installed as the session's model override
-/// (exactly a one-shot portfolio win) rather than re-discovered with a
-/// final solve.
+/// already in hand, installed as the session's model override (exactly a
+/// one-shot portfolio win) rather than re-discovered with a final solve.
 fn minimize_under_pooled(
     encoder: &mut Encoder,
-    compiled: &CompiledSofts,
+    objective: &Objective,
     context: &[Lit],
     gate: Lit,
     mut pool: ProbePool,
+    (mut best_cost, mut best_violated): (u64, Vec<usize>),
+    mut best_model: Vec<Option<bool>>,
 ) -> MaxSatOutcome {
+    let softs = objective.softs;
     let seats = pool.seats();
-    let mut rounds = 1u64;
-    // Feasibility: broadcast the same unbounded probe to every seat.
-    let feasible = pool.solve_round(&vec![context.to_vec(); seats]);
-    let Some(sat) = feasible.iter().find(|o| o.result == SolveResult::Sat) else {
-        let unsat = feasible.iter().any(|o| o.result == SolveResult::Unsat);
-        encoder.absorb_parallel(&pool.finish(), rounds);
-        if unsat {
-            return MaxSatOutcome::HardUnsat;
-        }
-        // Every seat inconclusive — impossible without a conflict budget,
-        // but never guess: rerun the whole search sequentially.
-        return minimize_under_sequential(encoder, compiled, context, gate);
-    };
-    let mut best_model = sat.model.clone().expect("SAT probes carry a model");
-    if compiled.softs.is_empty() {
-        encoder.absorb_parallel(&pool.finish(), rounds);
-        encoder.install_model_override(best_model);
-        return MaxSatOutcome::Optimal { cost: 0, violated: Vec::new() };
-    }
-    let mut best_cost = model_cost_in(encoder, &compiled.softs, &best_model);
-    let mut best_violated = violated_indices_in(encoder, &compiled.softs, &best_model);
-
-    let mut candidates: Vec<u64> = Vec::with_capacity(compiled.outputs.len() + 1);
-    candidates.push(0);
-    candidates.extend(compiled.outputs.iter().map(|&(s, _)| s));
+    let mut rounds = 0u64;
+    let candidates = objective.candidates();
     let mut lo = 0usize;
     let mut pooled_ok = true;
     while pooled_ok && best_cost > 0 {
@@ -349,7 +301,7 @@ fn minimize_under_pooled(
         let targets: Vec<usize> = (0..seats).map(|i| window[i % window.len()]).collect();
         let probes: Vec<Vec<Lit>> = targets
             .iter()
-            .map(|&idx| bound_assumptions(compiled, context, candidates[idx]))
+            .map(|&idx| objective.bound(context, candidates[idx]))
             .collect();
         let outcomes = pool.solve_round(&probes);
         rounds += 1;
@@ -358,11 +310,11 @@ fn minimize_under_pooled(
             match outcome.result {
                 SolveResult::Sat => {
                     let model = outcome.model.as_deref().expect("SAT probes carry a model");
-                    let cost = model_cost_in(encoder, &compiled.softs, model);
+                    let cost = model_cost_in(encoder, softs, model);
                     debug_assert!(cost <= candidates[idx], "model violates assumed bound");
                     if cost < best_cost {
                         best_cost = cost;
-                        best_violated = violated_indices_in(encoder, &compiled.softs, model);
+                        best_violated = violated_indices_in(encoder, softs, model);
                         best_model = model.to_vec();
                         progressed = true;
                     }
@@ -391,11 +343,11 @@ fn minimize_under_pooled(
             }
             let mid = (lo + hi) / 2;
             let target = candidates[mid];
-            match encoder.solve_with(&bound_assumptions(compiled, context, target)) {
+            match encoder.solve_with(&objective.bound(context, target)) {
                 SolveResult::Sat => {
-                    let cost = model_cost(encoder, &compiled.softs);
+                    let cost = model_cost(encoder, softs);
                     best_cost = cost.min(target);
-                    best_violated = violated_indices(encoder, &compiled.softs);
+                    best_violated = violated_indices(encoder, softs);
                 }
                 SolveResult::Unsat | SolveResult::Unknown => {
                     lo = mid + 1;
@@ -403,14 +355,10 @@ fn minimize_under_pooled(
             }
         }
     }
-    for &(s, l) in &compiled.outputs {
-        if s > best_cost {
-            ClauseSink::add_clause(encoder, &[!gate, !l]);
-        }
-    }
+    objective.harden(encoder, gate, best_cost);
     if pooled_ok {
         debug_assert_eq!(
-            model_cost_in(encoder, &compiled.softs, &best_model),
+            model_cost_in(encoder, softs, &best_model),
             best_cost,
             "retained witness must achieve the optimum"
         );
@@ -455,26 +403,13 @@ fn model_cost_in(encoder: &Encoder, soft: &[Soft], model: &[Option<bool>]) -> u6
         .sum()
 }
 
-/// Destructive linear descent: compiles the totalizer in place and hardens
-/// the optimum permanently. The gate is the always-true literal, so the
-/// gated hardening clauses in [`minimize_under`] strip to permanent units
-/// at level 0 — identical behavior to a dedicated ungated implementation.
+/// Destructive linear descent: the same capped descent as
+/// [`minimize_under`] with the always-true literal as the gate, so the
+/// circuit and the hardened optimum become permanent clauses at level 0 —
+/// identical behavior to a dedicated ungated implementation.
 fn linear_gte(encoder: &mut Encoder, soft: &[Soft]) -> MaxSatOutcome {
-    // Routed through the backend so a portfolio races the initial
-    // feasibility check too — on hard theories it is as expensive as any
-    // bound probe.
-    if encoder.solve_with_backend(&[]) != SolveResult::Sat {
-        return MaxSatOutcome::HardUnsat;
-    }
-    if soft.is_empty() {
-        return MaxSatOutcome::Optimal { cost: 0, violated: Vec::new() };
-    }
-    let compiled = match compile_softs(encoder, soft.to_vec()) {
-        Ok(c) => c,
-        Err(WeightOverflow) => return MaxSatOutcome::WeightOverflow,
-    };
     let gate = encoder.true_lit();
-    minimize_under(encoder, &compiled, &[], gate)
+    minimize_under(encoder, soft, &[], gate)
 }
 
 /// Classic Fu-Malik for uniform weights.
@@ -775,18 +710,22 @@ mod tests {
     }
 
     #[test]
-    fn gated_minimize_reuses_one_totalizer_across_queries() {
-        // Compile the objective once; two gated optimize "queries" over the
-        // same session must agree, and retiring each gate must release its
-        // hardened bound (the session stays exactly the base theory).
+    fn gated_minimize_leaves_the_session_as_it_found_it() {
+        // Two gated optimize "queries" over one session must agree. Retiring
+        // each gate and releasing the call's variables
+        // must hand back the base theory: no live circuit clause, no live
+        // circuit variable, and old optima no longer binding.
         let mut e = Encoder::new();
         e.assert(&Formula::xor(a(0), a(1)));
-        let compiled =
-            compile_softs(&mut e, softs(&[(2, a(0)), (1, a(1))])).expect("no overflow");
-        let clauses_after_compile = e.clause_count();
+        let soft = softs(&[(2, a(0)), (1, a(1))]);
+        assert_eq!(e.solve(), SolveResult::Sat);
+        assert!(e.collect_garbage());
+        let live_vars = e.solver().num_live_vars();
+        let live_clauses = e.solver().num_clauses();
         for _ in 0..2 {
+            let mark = e.solver().mark();
             let gate = e.new_selector();
-            match minimize_under(&mut e, &compiled, &[], gate) {
+            match minimize_under(&mut e, &soft, &[], gate) {
                 MaxSatOutcome::Optimal { cost, violated } => {
                     assert_eq!(cost, 1);
                     assert_eq!(violated, vec![1]);
@@ -795,14 +734,13 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
             e.retire(gate);
+            assert!(e.release_since(mark) > 0, "the circuit's variables stay live");
+            assert_eq!(e.solver().num_live_vars(), live_vars);
+            assert_eq!(e.solver().num_clauses(), live_clauses);
         }
-        // Only gated hardening + retirement units were added — no second
-        // totalizer. With 2 outputs above cost 1, that is ≤ 3 clauses/query.
-        assert!(e.clause_count() - clauses_after_compile <= 6);
-        // After retirement the base theory is unconstrained by old optima:
-        // the expensive assignment (a1, cost 2) is reachable again.
+        // The expensive assignment (a1, cost 2) is reachable again.
         let a1 = e.atom_lit(Atom(1));
-        assert_eq!(e.solve_with(&[a1]), netarch_sat::SolveResult::Sat);
+        assert_eq!(e.solve_with(&[a1]), SolveResult::Sat);
         assert_eq!(e.atom_value(Atom(0)), Some(false));
     }
 
@@ -815,10 +753,9 @@ mod tests {
         e.assert(&Formula::xor(a(0), a(1)));
         let sel = e.new_selector();
         e.assert_under(sel, &Formula::not(a(0)));
-        let compiled =
-            compile_softs(&mut e, softs(&[(2, a(0)), (1, a(1))])).expect("no overflow");
+        let soft = softs(&[(2, a(0)), (1, a(1))]);
         let g1 = e.new_selector();
-        match minimize_under(&mut e, &compiled, &[sel], g1) {
+        match minimize_under(&mut e, &soft, &[sel], g1) {
             MaxSatOutcome::Optimal { cost, violated } => {
                 assert_eq!(cost, 2);
                 assert_eq!(violated, vec![0]);
@@ -827,7 +764,7 @@ mod tests {
         }
         e.retire(g1);
         let g2 = e.new_selector();
-        match minimize_under(&mut e, &compiled, &[], g2) {
+        match minimize_under(&mut e, &soft, &[], g2) {
             MaxSatOutcome::Optimal { cost, .. } => assert_eq!(cost, 1),
             other => panic!("unexpected {other:?}"),
         }
@@ -839,12 +776,148 @@ mod tests {
         let sel = e.new_selector();
         e.assert_under(sel, &a(0));
         e.assert_under(sel, &Formula::not(a(0)));
-        let compiled = compile_softs(&mut e, softs(&[(1, a(1))])).expect("no overflow");
         let gate = e.new_selector();
         assert_eq!(
-            minimize_under(&mut e, &compiled, &[sel], gate),
+            minimize_under(&mut e, &softs(&[(1, a(1))]), &[sel], gate),
             MaxSatOutcome::HardUnsat
         );
+    }
+
+    #[test]
+    fn gated_minimize_refuses_overflowing_weights() {
+        let mut e = Encoder::new();
+        let gate = e.new_selector();
+        let soft = softs(&[(u64::MAX, a(0)), (1, a(1))]);
+        assert_eq!(minimize_under(&mut e, &soft, &[], gate), MaxSatOutcome::WeightOverflow);
+    }
+
+    /// The descent with the circuit built up to the total weight, as before
+    /// first-model capping: the reference the capped descent must match.
+    fn minimize_uncapped(e: &mut Encoder, soft: &[Soft], gate: Lit) -> MaxSatOutcome {
+        if e.solve_with(&[gate]) != SolveResult::Sat {
+            return MaxSatOutcome::HardUnsat;
+        }
+        let first = (model_cost(e, soft), violated_indices(e, soft));
+        let total = checked_total(soft).expect("small weights");
+        let outputs = e.gated_scope(gate, |e| {
+            let terms: Vec<PbTerm> =
+                soft.iter().map(|s| PbTerm::new(s.weight, !e.lit_for(&s.formula))).collect();
+            gte_outputs(e, &terms, total).outputs
+        });
+        minimize_under_sequential(e, &Objective { softs: soft, outputs }, &[gate], gate, first)
+    }
+
+    type RawLit = (usize, bool);
+
+    /// Hard 2-clauses and weighted soft 2-clauses over a few atoms.
+    #[derive(Clone, Debug)]
+    struct Instance {
+        atoms: usize,
+        hard: Vec<(RawLit, RawLit)>,
+        soft: Vec<(RawLit, RawLit, u64)>,
+    }
+
+    netarch_rt::impl_shrink_struct!(Instance { atoms, hard, soft });
+
+    impl Instance {
+        fn lit(&self, (atom, positive): RawLit) -> Formula {
+            let x = a((atom % self.atoms.clamp(1, 6)) as u32);
+            if positive { x } else { Formula::not(x) }
+        }
+
+        fn hard(&self) -> Vec<Formula> {
+            self.hard.iter().map(|&(x, y)| Formula::or([self.lit(x), self.lit(y)])).collect()
+        }
+
+        fn soft(&self) -> Vec<Soft> {
+            self.soft
+                .iter()
+                .map(|&(x, y, w)| Soft::new(w, Formula::or([self.lit(x), self.lit(y)])))
+                .collect()
+        }
+
+        fn encoder(&self) -> Encoder {
+            let mut e = Encoder::new();
+            for h in self.hard() {
+                e.assert(&h);
+            }
+            e
+        }
+
+        fn brute_force(&self) -> Option<u64> {
+            let atoms = self.atoms.clamp(1, 6);
+            let (hard, soft) = (self.hard(), self.soft());
+            (0u32..1 << atoms)
+                .filter_map(|bits| {
+                    let assign = |at: Atom| (bits >> at.0) & 1 == 1;
+                    hard.iter().all(|h| h.eval(&assign)).then(|| {
+                        soft.iter().filter(|s| !s.formula.eval(&assign)).map(|s| s.weight).sum()
+                    })
+                })
+                .min()
+        }
+    }
+
+    fn gen_instance(rng: &mut netarch_rt::Rng) -> Instance {
+        use netarch_rt::prop::gen_vec;
+        let atoms = rng.gen_range(1..=6usize);
+        let lit = |r: &mut netarch_rt::Rng| (r.gen_range(0..atoms), r.gen_bool(0.5));
+        Instance {
+            atoms,
+            hard: gen_vec(rng, 0..=6, |r| (lit(r), lit(r))),
+            soft: gen_vec(rng, 0..=7, |r| (lit(r), lit(r), r.gen_range(0..=9u64))),
+        }
+    }
+
+    #[test]
+    fn capped_descent_matches_uncapped_descent_and_brute_force() {
+        use netarch_rt::prop::{self, Config};
+        prop::check(&Config::with_cases(200), gen_instance, |inst| {
+            let soft = inst.soft();
+            let best = inst.brute_force();
+
+            let mut capped = inst.encoder();
+            let mark = capped.solver().mark();
+            let before = capped.clause_count();
+            let gate = capped.new_selector();
+            let got = minimize_under(&mut capped, &soft, &[], gate);
+            let capped_clauses = capped.clause_count() - before;
+
+            let mut uncapped = inst.encoder();
+            let before = uncapped.clause_count();
+            let gate_u = uncapped.new_selector();
+            let want = minimize_uncapped(&mut uncapped, &soft, gate_u);
+            let uncapped_clauses = uncapped.clause_count() - before;
+
+            match (best, &got, &want) {
+                (None, MaxSatOutcome::HardUnsat, MaxSatOutcome::HardUnsat) => return Ok(()),
+                (
+                    Some(b),
+                    MaxSatOutcome::Optimal { cost, violated },
+                    MaxSatOutcome::Optimal { cost: reference, .. },
+                ) => {
+                    netarch_rt::prop_assert_eq!(*cost, b);
+                    netarch_rt::prop_assert_eq!(*reference, b);
+                    let weight: u64 = violated.iter().map(|&i| soft[i].weight).sum();
+                    netarch_rt::prop_assert_eq!(weight, b);
+                    netarch_rt::prop_assert_eq!(model_cost(&capped, &soft), b);
+                }
+                _ => return Err(format!("best {best:?}: capped {got:?}, uncapped {want:?}")),
+            }
+            netarch_rt::prop_assert!(
+                capped_clauses <= uncapped_clauses,
+                "capped circuit {capped_clauses} clauses > uncapped {uncapped_clauses}"
+            );
+            // A warm repeat after retire, collect and release agrees.
+            capped.retire(gate);
+            capped.release_since(mark);
+            let gate = capped.new_selector();
+            match minimize_under(&mut capped, &soft, &[], gate) {
+                MaxSatOutcome::Optimal { cost, .. } => netarch_rt::prop_assert_eq!(Some(cost), best),
+                other => return Err(format!("warm repeat gave {other:?}")),
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -53,5 +53,5 @@ pub use lit::{LBool, Lit, Var};
 pub use portfolio::{Portfolio, PortfolioConfig, PortfolioResult, PortfolioStats};
 pub use probes::{lit_value_in, ProbeOutcome, ProbePool, ProbePoolConfig};
 pub use proof::{DratProof, ProofSink, ProofStep};
-pub use solver::{ClauseExchange, SolveResult, Solver, SolverConfig};
+pub use solver::{ClauseExchange, SessionMark, SolveResult, Solver, SolverConfig};
 pub use stats::Stats;

@@ -30,7 +30,7 @@
 //! variable it allocates, so session engines keep their zero-recompile
 //! guarantee while still benefiting from subsumption and vivification.
 
-use super::Solver;
+use super::{Solver, VarStatus};
 use crate::clause::ClauseRef;
 use crate::lit::{LBool, Lit, Var};
 
@@ -70,7 +70,7 @@ impl Solver {
         self.backtrack_to(0);
         // Step 1: reuse the incremental-session simplifier — propagates,
         // drops root-satisfied clauses, strips root-false literals, and
-        // rebuilds the watch lists.
+        // repairs the watch lists.
         if !self.simplify() {
             return false;
         }
@@ -297,7 +297,7 @@ impl Solver {
             }
         }
         for vi in 0..self.num_vars() {
-            if self.frozen[vi] || self.eliminated[vi] || self.assigns[vi].is_assigned() {
+            if self.frozen[vi] || !self.is_active(vi) || self.assigns[vi].is_assigned() {
                 continue;
             }
             let v = Var::from_index(vi);
@@ -387,7 +387,7 @@ impl Solver {
                 self.detach(c);
                 self.db.delete(c);
             }
-            self.eliminated[vi] = true;
+            self.status[vi] = VarStatus::Eliminated;
             self.stats.eliminated_vars += 1;
             let mut units: Vec<Lit> = Vec::new();
             for r in resolvents {
@@ -434,11 +434,9 @@ impl Solver {
     /// the model forces its pivot literal true. (At most one polarity can be
     /// forced — a positive and a negative clause both unsatisfied modulo
     /// the pivot would falsify their resolvent, which was added to the
-    /// formula the model satisfies.)
+    /// formula the model satisfies.) Released variables, and eliminated
+    /// ones no clause forced, read `false`.
     pub(crate) fn extend_model(&mut self) {
-        if self.elim_stack.is_empty() {
-            return;
-        }
         for i in (0..self.elim_stack.len()).rev() {
             let satisfied = {
                 let (_, clause) = &self.elim_stack[i];
@@ -453,10 +451,10 @@ impl Solver {
                 self.model[pivot.var().index()] = LBool::from_bool(pivot.is_positive());
             }
         }
-        // Eliminated variables no clause ever forced get a definite default
+        // Removed variables no clause ever forced get a definite default
         // so the model stays total.
-        for (vi, val) in self.model.iter_mut().enumerate() {
-            if *val == LBool::Undef && self.eliminated[vi] {
+        for (val, status) in self.model.iter_mut().zip(&self.status) {
+            if *val == LBool::Undef && *status != VarStatus::Active {
                 *val = LBool::False;
             }
         }

@@ -39,6 +39,29 @@ pub enum SolveResult {
     Unknown,
 }
 
+/// Whether a variable still belongs to the formula.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum VarStatus {
+    /// In the formula: decided, propagated and mentionable as usual.
+    Active,
+    /// Removed by bounded variable elimination; its model value comes from
+    /// reconstruction over the elimination stack.
+    Eliminated,
+    /// Given back by [`Solver::release_since`]; it occurs in no clause and
+    /// reads `false` in every model.
+    Released,
+}
+
+/// A point in an incremental session's history, taken with
+/// [`Solver::mark`]: how many variables and clause slots existed then.
+/// [`Solver::release_since`] ends a scoped encoding created after it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SessionMark {
+    vars: usize,
+    clauses: usize,
+    compactions: u64,
+}
+
 /// One entry in a watch list: the clause plus a cached "blocker" literal
 /// whose truth lets propagation skip loading the clause at all.
 #[derive(Clone, Copy)]
@@ -211,17 +234,21 @@ pub struct Solver {
     /// freeze contract — see [`Solver::freeze_var`]). Assumption variables
     /// are frozen automatically by [`Solver::solve_with`].
     frozen: Vec<bool>,
-    /// Variables removed by bounded variable elimination. They no longer
-    /// occur in any live clause, are skipped by decision heuristics, and
-    /// may not appear in newly added clauses or assumptions; their model
-    /// values are restored by reconstruction from `elim_stack`.
-    eliminated: Vec<bool>,
+    /// Per-variable membership in the formula. Eliminated and released
+    /// variables occur in no live clause, are skipped by decision
+    /// heuristics, and may not appear in newly added clauses or
+    /// assumptions; [`Solver::extend_model`] gives them model values.
+    status: Vec<VarStatus>,
     /// Clauses deleted by variable elimination, with the pivot literal each
     /// contained. Walked in reverse on every SAT outcome to extend the
     /// model so it satisfies the *original* formula.
     elim_stack: Vec<(Lit, Vec<Lit>)>,
     /// Restarts since the last inprocessing round (cadence counter).
     restarts_since_inprocess: u64,
+    /// Arena compactions so far. Clauses are only ever appended, shrunk in
+    /// place or tombstoned, so between compactions every clause added
+    /// after a [`SessionMark`] sits at or above the mark's slot count.
+    compactions: u64,
     /// Current restart gap before the next inprocessing round. Starts at
     /// `config.inprocess_interval` and doubles after every round, so early
     /// rounds strip the cheap redundancy while long searches are not
@@ -284,9 +311,10 @@ impl Solver {
             last_interrupted: false,
             rng_state,
             frozen: Vec::new(),
-            eliminated: Vec::new(),
+            status: Vec::new(),
             elim_stack: Vec::new(),
             restarts_since_inprocess: 0,
+            compactions: 0,
             inprocess_gap: 0,
             stats: Stats::default(),
         }
@@ -392,7 +420,7 @@ impl Solver {
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.frozen.push(false);
-        self.eliminated.push(false);
+        self.status.push(VarStatus::Active);
         self.order.insert(v, &self.activity);
         v
     }
@@ -433,7 +461,102 @@ impl Solver {
 
     /// True when the variable has been removed by variable elimination.
     pub fn is_eliminated(&self, var: Var) -> bool {
-        self.eliminated[var.index()]
+        self.status[var.index()] == VarStatus::Eliminated
+    }
+
+    /// True when the variable has been given back by
+    /// [`Solver::release_since`].
+    pub fn is_released(&self, var: Var) -> bool {
+        self.status[var.index()] == VarStatus::Released
+    }
+
+    /// True while `var` takes part in the search: not eliminated, not
+    /// released.
+    #[inline]
+    fn is_active(&self, vi: usize) -> bool {
+        self.status[vi] == VarStatus::Active
+    }
+
+    /// The session as it stands, for a later [`Solver::release_since`].
+    pub fn mark(&self) -> SessionMark {
+        SessionMark {
+            vars: self.num_vars(),
+            clauses: self.db.len(),
+            compactions: self.compactions,
+        }
+    }
+
+    /// First clause slot that may hold a clause added since `mark`: the
+    /// mark's slot count, or 0 once a compaction has moved the clauses.
+    fn first_slot_since(&self, mark: SessionMark) -> usize {
+        if mark.compactions == self.compactions {
+            mark.clauses.min(self.db.len())
+        } else {
+            0
+        }
+    }
+
+    /// Ends a scoped encoding, in the spirit of MiniSat's `releaseVar`:
+    /// releases the variables allocated since `mark` once nothing mentions
+    /// them any more. Retire the encoding's activation literal first.
+    ///
+    /// Level-0 simplification (see [`Solver::simplify`]) first collects the
+    /// clauses added since `mark` — where a retired literal's gated
+    /// clauses and the learnt clauses derived from them sit; no older
+    /// clause can mention the new variables, so the cost follows the
+    /// encoding's size, not the session's. Then every variable allocated
+    /// since `mark` that is unassigned at the root and occurs in no live
+    /// clause (original or learnt) is released; the others stay, so the
+    /// formula and its models are unchanged. A released variable is never
+    /// decided, reads `false` in every later model, and — exactly like an
+    /// eliminated one, and whether or not it is frozen — may not appear in
+    /// a later clause or assumption. Rebuilds the decision heap over the
+    /// remaining variables and returns how many were released (0 when the
+    /// instance is known unsatisfiable).
+    pub fn release_since(&mut self, mark: SessionMark) -> usize {
+        if !self.simplify_from(self.first_slot_since(mark)) {
+            return 0;
+        }
+        // `occurs[i]`: variable `mark.vars + i` is in a live clause.
+        let mut occurs = vec![false; self.num_vars() - mark.vars];
+        for i in self.first_slot_since(mark)..self.db.len() {
+            let c = ClauseRef(i as u32);
+            if !self.db.is_deleted(c) {
+                for &l in self.db.lits(c) {
+                    if let Some(seen) = l.var().index().checked_sub(mark.vars) {
+                        occurs[seen] = true;
+                    }
+                }
+            }
+        }
+        let mut released = 0;
+        for (vi, &occurs) in (mark.vars..).zip(&occurs) {
+            if self.is_active(vi) && self.assigns[vi] == LBool::Undef && !occurs {
+                self.status[vi] = VarStatus::Released;
+                let v = Var::from_index(vi);
+                for lit in [v.positive(), v.negative()] {
+                    self.watches[lit.code()] = Vec::new();
+                }
+                released += 1;
+            }
+        }
+        if released > 0 {
+            self.order = VarHeap::new();
+            for vi in 0..self.num_vars() {
+                if self.is_active(vi) && self.assigns[vi] == LBool::Undef {
+                    self.order.insert(Var::from_index(vi), &self.activity);
+                }
+            }
+        }
+        released
+    }
+
+    /// Variables still in the search: neither eliminated, released, nor
+    /// fixed at the root. Read between solves.
+    pub fn num_live_vars(&self) -> usize {
+        (0..self.num_vars())
+            .filter(|&vi| self.is_active(vi) && self.assigns[vi] == LBool::Undef)
+            .count()
     }
 
     /// Ensures at least `n` variables exist.
@@ -481,10 +604,10 @@ impl Solver {
                 "literal {l:?} references an unallocated variable"
             );
             assert!(
-                !self.eliminated[l.var().index()],
-                "literal {l:?} references an eliminated variable; variables \
-                 mentioned by future clauses must be frozen (Solver::freeze_var) \
-                 before inprocessing runs"
+                self.is_active(l.var().index()),
+                "literal {l:?} references an eliminated or released variable; \
+                 variables mentioned by future clauses must be frozen \
+                 (Solver::freeze_var) before inprocessing runs, and never released"
             );
         }
         c.sort_unstable();
@@ -562,9 +685,10 @@ impl Solver {
                 "assumption {l:?} references an unallocated variable"
             );
             assert!(
-                !self.eliminated[l.var().index()],
-                "assumption {l:?} references an eliminated variable; freeze \
-                 variables assumed across solves (Solver::freeze_var)"
+                self.is_active(l.var().index()),
+                "assumption {l:?} references an eliminated or released variable; \
+                 freeze variables assumed across solves (Solver::freeze_var), \
+                 and never release them"
             );
             // Assumption variables are frozen permanently: callers reuse
             // assumption literals across solves, so eliminating one between
@@ -683,13 +807,19 @@ impl Solver {
     }
 
     /// Level-0 simplification: removes clauses satisfied by root-level
-    /// assignments and strips falsified literals from the rest, then
-    /// rebuilds the watch lists. Preserves satisfiability and models.
+    /// assignments and strips falsified literals from the rest, in place,
+    /// then repairs the watch lists that held them. Preserves
+    /// satisfiability and models.
     ///
     /// Useful between incremental batches once many units have been
     /// derived. Returns `false` when the instance is (or becomes) known
     /// unsatisfiable.
     pub fn simplify(&mut self) -> bool {
+        self.simplify_from(0)
+    }
+
+    /// [`Solver::simplify`] over the clause slots from `first` on only.
+    fn simplify_from(&mut self, first: usize) -> bool {
         if !self.ok {
             return false;
         }
@@ -699,53 +829,69 @@ impl Solver {
             self.ok = false;
             return false;
         }
-        // Collect surviving clauses with falsified literals stripped.
-        let mut survivors: Vec<(Vec<Lit>, bool)> = Vec::new();
-        let all: Vec<ClauseRef> = (0..self.db.len())
-            .map(|i| ClauseRef(i as u32))
-            .filter(|&c| !self.db.is_deleted(c))
-            .collect();
-        for cref in all {
-            let lits: Vec<Lit> = self.db.lits(cref).to_vec();
+        // Tombstone satisfied clauses and strip falsified literals in place,
+        // noting the watch lists that held either kind: sessions can hold
+        // millions of clauses, so neither the arena nor the untouched watch
+        // lists are rebuilt.
+        let mut dirty = vec![false; self.watches.len()];
+        let mut shrunk: Vec<ClauseRef> = Vec::new();
+        let mut remaining: Vec<Lit> = Vec::new();
+        for i in first..self.db.len() {
+            let cref = ClauseRef(i as u32);
+            if self.db.is_deleted(cref) {
+                continue;
+            }
+            let lits = self.db.lits(cref);
             let satisfied = lits.iter().any(|&l| self.lit_value(l) == LBool::True);
+            if !satisfied && lits.iter().all(|&l| self.lit_value(l) == LBool::Undef) {
+                continue;
+            }
+            dirty[(!lits[0]).code()] = true;
+            dirty[(!lits[1]).code()] = true;
             if satisfied {
-                self.proof_delete(&lits);
+                if self.proof.is_some() {
+                    let lits = lits.to_vec();
+                    self.proof_delete(&lits);
+                }
+                self.db.delete(cref);
                 self.stats.garbage_collected_clauses += 1;
                 continue;
             }
-            let remaining: Vec<Lit> = lits
-                .iter()
-                .copied()
-                .filter(|&l| self.lit_value(l) != LBool::False)
-                .collect();
+            remaining.clear();
+            remaining.extend(lits.iter().copied().filter(|&l| self.lit_value(l) != LBool::False));
             debug_assert!(
                 remaining.len() >= 2,
                 "a unit/empty clause at level 0 would have propagated or conflicted"
             );
-            if remaining.len() != lits.len() {
-                // Strengthen-then-drop: the stripped clause is RUP (the
-                // removed literals are root-false), and only after it is in
-                // the proof may the original clause be deleted.
+            // Strengthen-then-drop: the stripped clause is RUP (the removed
+            // literals are root-false), and only after it is in the proof
+            // may the original clause be deleted.
+            if self.proof.is_some() {
+                let lits = lits.to_vec();
                 self.proof_add(&remaining);
                 self.proof_delete(&lits);
             }
-            survivors.push((remaining, self.db.is_learnt(cref)));
+            self.db.shrink(cref, &remaining);
+            shrunk.push(cref);
         }
-        // Rebuild the database and watches; keep assignments/trail.
-        self.db = ClauseDb::new();
-        for ws in &mut self.watches {
-            ws.clear();
+        // `shrunk` is ascending, so membership is a binary search.
+        for (code, ws) in self.watches.iter_mut().enumerate() {
+            if dirty[code] {
+                ws.retain(|w| !self.db.is_deleted(w.cref) && shrunk.binary_search(&w.cref).is_err());
+            }
         }
+        for &cref in &shrunk {
+            self.attach(cref);
+        }
+        // Root-level assignments never need their reasons again.
         for r in &mut self.reason {
             *r = ClauseRef::INVALID;
         }
-        for (lits, learnt) in survivors {
-            let cref = self.db.add(&lits, learnt);
-            self.attach(cref);
+        if self.db.should_compact() {
+            self.compact();
         }
         true
     }
-
 
     // ------------------------------------------------------------------
     // Internals
@@ -1038,7 +1184,7 @@ impl Solver {
             // cannot come from a well-formed portfolio; drop it.
             return true;
         }
-        if c.iter().any(|l| self.eliminated[l.var().index()]) {
+        if c.iter().any(|l| !self.is_active(l.var().index())) {
             // This worker eliminated a variable the foreign clause still
             // mentions; re-introducing it would undo the elimination, so
             // the import is skipped (sound: imports are only ever pruning).
@@ -1100,7 +1246,7 @@ impl Solver {
         let sign = (r >> 32) & 1 == 1;
         for off in 0..n {
             let v = Var::from_index((start + off) % n);
-            if self.assigns[v.index()] == LBool::Undef && !self.eliminated[v.index()] {
+            if self.assigns[v.index()] == LBool::Undef && self.is_active(v.index()) {
                 return Some(Lit::new(v, sign));
             }
         }
@@ -1123,7 +1269,7 @@ impl Solver {
             // from the heap here is permanent, since they are never assigned
             // and thus never re-inserted by `backtrack_to`.
             while let Some(v) = self.order.pop_max(&self.activity) {
-                if self.assigns[v.index()] == LBool::Undef && !self.eliminated[v.index()] {
+                if self.assigns[v.index()] == LBool::Undef && self.is_active(v.index()) {
                     return Some(Lit::new(v, self.polarity[v.index()]));
                 }
             }
@@ -1131,7 +1277,7 @@ impl Solver {
         } else {
             (0..self.num_vars())
                 .map(Var::from_index)
-                .find(|v| self.assigns[v.index()] == LBool::Undef && !self.eliminated[v.index()])
+                .find(|v| self.assigns[v.index()] == LBool::Undef && self.is_active(v.index()))
                 .map(|v| Lit::new(v, self.polarity[v.index()]))
         }
     }
@@ -1348,6 +1494,7 @@ impl Solver {
 
     /// Compacts the clause arena and rewrites all references.
     fn compact(&mut self) {
+        self.compactions += 1;
         let remap = self.db.compact();
         for ws in &mut self.watches {
             ws.retain_mut(|w| match remap[w.cref.0 as usize] {

@@ -1,7 +1,9 @@
 //! End-to-end tests of the `netarch` CLI binary: scenario JSON round-trip
 //! through a temp file, every subcommand, and error handling.
 
+use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn netarch(args: &[&str]) -> (bool, String, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_netarch"))
@@ -15,10 +17,20 @@ fn netarch(args: &[&str]) -> (bool, String, String) {
     )
 }
 
-fn demo_scenario_path() -> std::path::PathBuf {
+/// A temp path no other call in this run shares: tests in one binary run in
+/// parallel under one PID, so the PID alone would let one test delete
+/// another's file. `tag` names the calling test; the counter separates
+/// repeated calls within it.
+fn temp_path(tag: &str, ext: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("netarch-{tag}-{}-{n}{ext}", std::process::id()))
+}
+
+fn demo_scenario_path(tag: &str) -> PathBuf {
     let (ok, stdout, stderr) = netarch(&["demo"]);
     assert!(ok, "{stderr}");
-    let path = std::env::temp_dir().join(format!("netarch-cli-test-{}.json", std::process::id()));
+    let path = temp_path(tag, ".json");
     std::fs::write(&path, stdout).expect("write temp scenario");
     path
 }
@@ -35,7 +47,7 @@ fn demo_emits_parseable_scenario_json() {
 
 #[test]
 fn check_reports_feasible_with_a_design() {
-    let path = demo_scenario_path();
+    let path = demo_scenario_path("check_reports_feasible_with_a_design");
     let (ok, stdout, _) = netarch(&["check", path.to_str().unwrap()]);
     std::fs::remove_file(&path).ok();
     assert!(ok);
@@ -45,7 +57,7 @@ fn check_reports_feasible_with_a_design() {
 
 #[test]
 fn capacity_reports_fleet_size() {
-    let path = demo_scenario_path();
+    let path = demo_scenario_path("capacity_reports_fleet_size");
     let (ok, stdout, _) = netarch(&["capacity", path.to_str().unwrap(), "512"]);
     std::fs::remove_file(&path).ok();
     assert!(ok);
@@ -54,7 +66,7 @@ fn capacity_reports_fleet_size() {
 
 #[test]
 fn compare_answers_listing_2_orderings() {
-    let path = demo_scenario_path();
+    let path = demo_scenario_path("compare_answers_listing_2_orderings");
     let p = path.to_str().unwrap().to_string();
     let (ok, stdout, _) = netarch(&["compare", &p, "SIMON", "PINGMESH", "monitoring-quality"]);
     assert!(ok);
@@ -70,7 +82,7 @@ fn compare_answers_listing_2_orderings() {
 
 #[test]
 fn enumerate_lists_classes() {
-    let path = demo_scenario_path();
+    let path = demo_scenario_path("enumerate_lists_classes");
     let (ok, stdout, _) = netarch(&["enumerate", path.to_str().unwrap(), "3"]);
     std::fs::remove_file(&path).ok();
     assert!(ok);
@@ -138,11 +150,10 @@ fn check_accepts_narch_scenario_files() {
 /// equivalent produce byte-identical answers.
 #[test]
 fn narch_and_json_scenarios_answer_identically() {
-    let json_path = demo_scenario_path();
+    let json_path = demo_scenario_path("narch_and_json_scenarios_answer_identically");
     let (ok, narch_text, stderr) = netarch(&["demo", "--narch"]);
     assert!(ok, "{stderr}");
-    let narch_path =
-        std::env::temp_dir().join(format!("netarch-cli-test-{}.narch", std::process::id()));
+    let narch_path = temp_path("narch_and_json_scenarios_answer_identically", ".narch");
     std::fs::write(&narch_path, narch_text).unwrap();
 
     let from_json = netarch(&["check", json_path.to_str().unwrap()]);
@@ -162,7 +173,7 @@ fn narch_and_json_scenarios_answer_identically() {
 fn format_detection_sniffs_content_without_extension() {
     // A JSON scenario under a neutral extension still loads.
     let (_, json_text, _) = netarch(&["demo"]);
-    let path = std::env::temp_dir().join(format!("netarch-sniff-{}.tmp", std::process::id()));
+    let path = temp_path("format_detection_sniffs_content_without_extension", ".tmp");
     std::fs::write(&path, json_text).unwrap();
     let (ok, stdout, stderr) = netarch(&["check", path.to_str().unwrap()]);
     std::fs::remove_file(&path).ok();
@@ -170,7 +181,7 @@ fn format_detection_sniffs_content_without_extension() {
     assert!(stdout.starts_with("FEASIBLE"));
 
     // Malformed JSON gets the format hint.
-    let path = std::env::temp_dir().join(format!("netarch-sniff2-{}.json", std::process::id()));
+    let path = temp_path("format_detection_sniffs_content_without_extension", ".json");
     std::fs::write(&path, "{ not json").unwrap();
     let (ok, _, stderr) = netarch(&["check", path.to_str().unwrap()]);
     std::fs::remove_file(&path).ok();
@@ -198,7 +209,7 @@ fn validate_passes_corpus_and_catches_dangling_references() {
     assert!(ok, "{stderr}");
     assert!(stdout.starts_with("OK"), "{stdout}");
 
-    let path = std::env::temp_dir().join(format!("netarch-dangling-{}.narch", std::process::id()));
+    let path = temp_path("validate_passes_corpus_and_catches_dangling_references", ".narch");
     std::fs::write(
         &path,
         "system \"A\" { category = transport  conflicts = [GHOST] }",
@@ -214,7 +225,7 @@ fn validate_passes_corpus_and_catches_dangling_references() {
 fn fmt_is_canonical_and_idempotent() {
     let (ok, once, stderr) = netarch(&["fmt", &repo_path("examples/minimal.narch")]);
     assert!(ok, "{stderr}");
-    let path = std::env::temp_dir().join(format!("netarch-fmt-{}.narch", std::process::id()));
+    let path = temp_path("fmt_is_canonical_and_idempotent", ".narch");
     std::fs::write(&path, &once).unwrap();
     let (ok, twice, _) = netarch(&["fmt", path.to_str().unwrap()]);
     std::fs::remove_file(&path).ok();
@@ -222,7 +233,7 @@ fn fmt_is_canonical_and_idempotent() {
     assert_eq!(once, twice, "fmt is not idempotent");
 
     // fmt refuses JSON input.
-    let json_path = demo_scenario_path();
+    let json_path = demo_scenario_path("fmt_is_canonical_and_idempotent");
     let (ok, _, stderr) = netarch(&["fmt", json_path.to_str().unwrap()]);
     std::fs::remove_file(&json_path).ok();
     assert!(!ok);
@@ -233,7 +244,7 @@ fn fmt_is_canonical_and_idempotent() {
 /// the offending detail, and exits nonzero.
 #[test]
 fn narch_errors_carry_file_line_and_column() {
-    let path = std::env::temp_dir().join(format!("netarch-err-{}.narch", std::process::id()));
+    let path = temp_path("narch_errors_carry_file_line_and_column", ".narch");
     // Column 14 on line 2: `category` misspelled.
     std::fs::write(
         &path,
@@ -255,7 +266,7 @@ fn narch_errors_carry_file_line_and_column() {
 
 #[test]
 fn export_narch_regenerates_committed_corpus_byte_identically() {
-    let dir = std::env::temp_dir().join(format!("netarch-export-{}", std::process::id()));
+    let dir = temp_path("export_narch_regenerates_committed_corpus_byte_identically", "");
     let (ok, _, stderr) = netarch(&["export-narch", dir.to_str().unwrap()]);
     assert!(ok, "{stderr}");
     for rel in [
@@ -273,7 +284,7 @@ fn export_narch_regenerates_committed_corpus_byte_identically() {
 
 #[test]
 fn json_flag_emits_machine_readable_designs() {
-    let path = demo_scenario_path();
+    let path = demo_scenario_path("json_flag_emits_machine_readable_designs");
     let p = path.to_str().unwrap().to_string();
     let (ok, stdout, stderr) = netarch(&["check", &p, "--json"]);
     assert!(ok, "{stderr}");
@@ -285,6 +296,10 @@ fn json_flag_emits_machine_readable_designs() {
     // Solver/session counters ride along with every design verdict.
     assert!(value["stats"]["session_solves"].as_u64().unwrap_or(0) >= 1);
     assert!(value["stats"]["eliminated_vars"].as_u64().is_some());
+    // Live session size and effort, beside the compile-time snapshot.
+    assert!(value["stats"]["live_vars"].as_u64().unwrap_or(0) >= 1);
+    assert!(value["stats"]["live_clauses"].as_u64().unwrap_or(0) >= 1);
+    assert!(value["stats"]["propagations"].as_u64().unwrap_or(0) >= 1);
 
     let (ok, stdout, _) = netarch(&["capacity", &p, "512", "--json"]);
     std::fs::remove_file(&path).ok();
@@ -315,7 +330,7 @@ fn sweep_smoke_manifest_is_deterministic() {
 #[test]
 fn sweep_export_writes_checkable_variants() {
     let spec = repo_path("examples/sweep.narch");
-    let dir = std::env::temp_dir().join(format!("netarch-sweep-{}", std::process::id()));
+    let dir = temp_path("sweep_export_writes_checkable_variants", "");
     let (ok, stdout, stderr) = netarch(&["sweep", &spec, "--export", dir.to_str().unwrap()]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("wrote 30 variant file(s)"), "{stdout}");
