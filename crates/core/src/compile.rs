@@ -76,9 +76,6 @@ pub struct CompileStats {
     pub session_solves: u64,
     /// Per-query activation literals retired back into the session.
     pub retired_activations: u64,
-    /// Decisive one-shot solves dispatched to the parallel portfolio
-    /// backend (0 under the default sequential backend).
-    pub portfolio_solves: u64,
     /// Conflicts resolved by the session solver over its lifetime.
     pub conflicts: u64,
     /// Learned clauses currently credited to the session solver — the
@@ -111,7 +108,6 @@ netarch_rt::impl_json_struct!(CompileStats {
     recompiles,
     session_solves,
     retired_activations,
-    portfolio_solves,
     conflicts,
     learnt_clauses,
     subsumed,
@@ -189,54 +185,43 @@ pub struct CompiledCapacity {
     pub server_count: netarch_logic::OrderInt,
 }
 
+/// The largest fleet bound [`compile_capacity`] accepts. The order
+/// encoding allocates one threshold variable per fleet size, so the
+/// compile's time and memory grow linearly with `max_servers`; past this
+/// ceiling a capacity query is refused with
+/// [`CompileError::CapacityLimit`] instead of running for seconds or
+/// exhausting memory.
+pub const MAX_CAPACITY_SERVERS: u64 = 100_000;
+
 /// Compiles a scenario with the server count as a variable in
 /// `[1, max_servers]`. Budget constraints, when present, price the fleet
 /// at the fixed `inventory.num_servers` (documented approximation: the
 /// capacity query answers fleet *size*, with cost reported afterwards).
+/// A `max_servers` above [`MAX_CAPACITY_SERVERS`] is refused.
 pub fn compile_capacity(
     scenario: &Scenario,
     max_servers: u64,
 ) -> Result<CompiledCapacity, CompileError> {
-    compile_capacity_with_backend(scenario, max_servers, netarch_logic::backend_from_env())
-}
-
-/// [`compile_capacity`] with an explicit solve backend instead of the
-/// `NETARCH_THREADS`-derived default.
-pub fn compile_capacity_with_backend(
-    scenario: &Scenario,
-    max_servers: u64,
-    backend: netarch_logic::SolveBackend,
-) -> Result<CompiledCapacity, CompileError> {
-    let mut out = compile_inner(scenario, Some(max_servers.max(1)), backend)?;
-    let server_count = out
-        .1
-        .take()
-        .expect("capacity mode allocates the server-count variable");
-    Ok(CompiledCapacity { compiled: out.0, server_count })
+    if max_servers > MAX_CAPACITY_SERVERS {
+        return Err(CompileError::CapacityLimit {
+            requested: max_servers,
+            limit: MAX_CAPACITY_SERVERS,
+        });
+    }
+    let (compiled, server_count) = compile_inner(scenario, Some(max_servers.max(1)))?;
+    let server_count = server_count.expect("capacity mode allocates the server-count variable");
+    Ok(CompiledCapacity { compiled, server_count })
 }
 
 /// Compiles a scenario. Validates the catalog, inventory references, and
-/// preference order first. The solve backend for decisive one-shot queries
-/// comes from the environment (`NETARCH_THREADS`); use
-/// [`compile_with_backend`] to pin it explicitly.
+/// preference order first.
 pub fn compile(scenario: &Scenario) -> Result<Compiled, CompileError> {
-    compile_with_backend(scenario, netarch_logic::backend_from_env())
-}
-
-/// [`compile`] with an explicit solve backend. Engine tests use this to
-/// exercise the portfolio without mutating process-global environment
-/// variables (which races with parallel test threads).
-pub fn compile_with_backend(
-    scenario: &Scenario,
-    backend: netarch_logic::SolveBackend,
-) -> Result<Compiled, CompileError> {
-    Ok(compile_inner(scenario, None, backend)?.0)
+    Ok(compile_inner(scenario, None)?.0)
 }
 
 fn compile_inner(
     scenario: &Scenario,
     capacity_mode: Option<u64>,
-    backend: netarch_logic::SolveBackend,
 ) -> Result<(Compiled, Option<netarch_logic::OrderInt>), CompileError> {
     let catalog_errors = scenario.catalog.validate();
     if !catalog_errors.is_empty() {
@@ -262,8 +247,6 @@ fn compile_inner(
     // make a wrong diagnosis loud instead of silently wrong.
     let mut encoder = Encoder::with_config(netarch_logic::EncodeConfig {
         verify_proofs: netarch_logic::proofs_requested(),
-        backend,
-        solver: netarch_logic::solver_config_from_env(),
         ..netarch_logic::EncodeConfig::default()
     });
     let server_count = capacity_mode

@@ -68,6 +68,14 @@ pub enum CompileError {
     /// feasible scenario turned infeasible mid-optimization). Indicates a
     /// bug in the engine, never in the scenario.
     Internal(String),
+    /// A capacity query asked for a fleet bound above the engine's
+    /// ceiling (see [`crate::compile::MAX_CAPACITY_SERVERS`]).
+    CapacityLimit {
+        /// The requested `max_servers`.
+        requested: u64,
+        /// The largest bound a capacity query accepts.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -110,6 +118,10 @@ impl fmt::Display for CompileError {
             CompileError::Internal(context) => {
                 write!(f, "internal engine inconsistency (this is a bug): {context}")
             }
+            CompileError::CapacityLimit { requested, limit } => write!(
+                f,
+                "capacity bound {requested} exceeds the limit of {limit} servers"
+            ),
         }
     }
 }
@@ -139,5 +151,7 @@ mod tests {
         assert!(e.to_string().contains("overflow"));
         let e = CompileError::Internal("optimize lost feasibility".into());
         assert!(e.to_string().contains("bug") && e.to_string().contains("optimize"));
+        let e = CompileError::CapacityLimit { requested: 1 << 32, limit: 100_000 };
+        assert!(e.to_string().contains("4294967296") && e.to_string().contains("100000"));
     }
 }

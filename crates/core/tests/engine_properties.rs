@@ -8,7 +8,8 @@
 //!   the named rules are jointly unsatisfiable, and dropping any pin or
 //!   workload-need rule named in it restores feasibility;
 //! * enumeration returns distinct, individually valid designs;
-//! * optimization never worsens feasibility and its design validates.
+//! * optimization never worsens feasibility and its design validates;
+//! * capacity planning answers the smallest feasible fixed fleet.
 
 use netarch_core::baseline::validate_design;
 use netarch_core::prelude::*;
@@ -289,6 +290,37 @@ fn cheapest_enumerated_design_is_never_cheaper_than_optimum() {
                     result.design.total_cost_usd
                 );
             }
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn capacity_plan_is_the_smallest_feasible_fixed_fleet() {
+    // Brute force over fleet sizes: the capacity answer must be the first
+    // `num_servers` at which a fixed-size engine finds a design, and its
+    // design must validate at that size.
+    const MAX_FLEET: u64 = 24;
+    prop::check(&Config::with_cases(32), gen_seed, |seed| {
+        let scenario = build_scenario(seed);
+        let mut engine = Engine::new(scenario.clone()).expect("compiles");
+        let plan = engine.plan_capacity(MAX_FLEET).expect("runs").ok();
+        let smallest = (1..=MAX_FLEET).find(|&n| {
+            let mut sized = scenario.clone();
+            sized.inventory.num_servers = n;
+            let mut fixed = Engine::new(sized).expect("compiles");
+            fixed.check().expect("runs").design().is_some()
+        });
+        prop_assert!(
+            plan.as_ref().map(|p| p.servers_needed) == smallest,
+            "capacity answered {:?}, brute force {smallest:?}",
+            plan.as_ref().map(|p| p.servers_needed)
+        );
+        if let Some(plan) = plan {
+            let mut sized = scenario.clone();
+            sized.inventory.num_servers = plan.servers_needed;
+            let violations = validate_design(&sized, &plan.design);
+            prop_assert!(violations.is_empty(), "{violations:?}");
         }
         Ok(())
     });

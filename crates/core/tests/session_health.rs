@@ -1,13 +1,14 @@
-//! Session health: a warm session that has run `optimize` must stay as
-//! correct *and as lean* as a freshly compiled engine.
+//! Session health: a warm session must stay as correct *and as lean* as a
+//! freshly compiled engine, whatever queries it has run.
 //!
 //! The answer oracles elsewhere (`interleaved_queries.rs`) compare verdicts
 //! only, which is how an objective circuit once stayed behind in the
 //! session after `optimize` and made every later query an order of
 //! magnitude slower without changing a single answer. Here random query
-//! tapes — `optimize` placed anywhere — run on the §2.3 case study and on
-//! the `examples/sweep.narch` variants, and after every `optimize` the
-//! session's footprint is held against a fresh engine's:
+//! tapes — check, enumerate, disambiguate and capacity, with `optimize`
+//! placed anywhere — run on the §2.3 case study and on the
+//! `examples/sweep.narch` variants, and after every query the session's
+//! footprint is held against a fresh engine's:
 //!
 //! * live decision variables within 5% (released objective circuits and
 //!   retired activation literals do not count),
@@ -29,17 +30,24 @@ enum Op {
     Optimize,
     Enumerate(usize),
     Disambiguate(usize),
+    Capacity(u64),
 }
 
 const LIMITS: [usize; 3] = [3, 8, 40];
 
+/// Fleet bounds for capacity queries: below, near and above the fleets
+/// the case study and the sweep variants need.
+const FLEET_BOUNDS: [u64; 3] = [4, 48, 128];
+
 fn decode(byte: u8) -> Op {
-    let limit = LIMITS[usize::from(byte / 4) % LIMITS.len()];
-    match byte % 4 {
+    let pick = usize::from(byte / 5);
+    let limit = LIMITS[pick % LIMITS.len()];
+    match byte % 5 {
         0 => Op::Check,
         1 => Op::Optimize,
         2 => Op::Enumerate(limit),
-        _ => Op::Disambiguate(limit),
+        3 => Op::Disambiguate(limit),
+        _ => Op::Capacity(FLEET_BOUNDS[pick % FLEET_BOUNDS.len()]),
     }
 }
 
@@ -53,6 +61,8 @@ enum Answer {
     /// The plan; only the class count when truncated (which classes
     /// surface first is the solver's choice).
     Plan(netarch_core::disambiguate::Disambiguation),
+    /// The minimal fleet, or `None` when no fleet up to the bound works.
+    Fleet(Option<u64>),
 }
 
 fn answer(engine: &mut Engine, op: Op) -> Answer {
@@ -89,6 +99,13 @@ fn answer(engine: &mut Engine, op: Op) -> Answer {
                 plan
             })
         }
+        Op::Capacity(max) => Answer::Fleet(
+            engine
+                .plan_capacity(max)
+                .expect("runs")
+                .ok()
+                .map(|p| p.servers_needed),
+        ),
     }
 }
 
@@ -117,7 +134,7 @@ fn check_effort(engine: &mut Engine) -> u64 {
     engine.stats().propagations - before
 }
 
-/// The footprint bounds above, for a warm session after `optimize`.
+/// The footprint bounds above, for a warm session after any query.
 fn footprint_is_fresh(session: &mut Engine, scenario: &Scenario) -> Result<(), String> {
     let mut fresh = Engine::new(scenario.clone()).expect("compiles");
     let (warm_stats, fresh_stats) = (session.stats(), fresh.stats());
@@ -136,13 +153,13 @@ fn footprint_is_fresh(session: &mut Engine, scenario: &Scenario) -> Result<(), S
     let (warm, cold) = (check_effort(session), check_effort(&mut fresh));
     prop_assert!(
         warm <= 2 * cold + 64,
-        "a check after optimize made {warm} propagations, on a fresh engine {cold}"
+        "a check on the warm session made {warm} propagations, on a fresh engine {cold}"
     );
     Ok(())
 }
 
-/// Runs `tape` on one warm session, comparing every answer with a fresh
-/// engine's and the footprint after every `optimize`.
+/// Runs `tape` on one warm session, comparing every answer and the
+/// footprint after every query with a fresh engine's.
 fn session_stays_healthy(scenario: &Scenario, tape: &[Op]) -> Result<(), String> {
     let mut session = Engine::new(scenario.clone()).expect("compiles");
     let mut oracle: Vec<(Op, Answer)> = Vec::new();
@@ -157,10 +174,8 @@ fn session_stays_healthy(scenario: &Scenario, tape: &[Op]) -> Result<(), String>
             }
         };
         prop_assert_eq!(got, want, "step {step} ({op:?}) of {tape:?}");
-        if op == Op::Optimize {
-            footprint_is_fresh(&mut session, scenario)
-                .map_err(|e| format!("after step {step} of {tape:?}: {e}"))?;
-        }
+        footprint_is_fresh(&mut session, scenario)
+            .map_err(|e| format!("after step {step} ({op:?}) of {tape:?}: {e}"))?;
     }
     Ok(())
 }
@@ -168,7 +183,13 @@ fn session_stays_healthy(scenario: &Scenario, tape: &[Op]) -> Result<(), String>
 #[test]
 fn case_study_session_stays_healthy_wherever_optimize_runs() {
     let scenario = netarch_corpus::case_study::scenario();
-    let queries = [Op::Check, Op::Enumerate(40), Op::Disambiguate(8), Op::Check];
+    let queries = [
+        Op::Check,
+        Op::Enumerate(40),
+        Op::Capacity(64),
+        Op::Disambiguate(8),
+        Op::Check,
+    ];
     for at in 0..=queries.len() {
         let mut tape = queries.to_vec();
         tape.insert(at, Op::Optimize);

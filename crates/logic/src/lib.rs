@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod backend;
 pub mod cardinality;
 pub mod encoder;
 pub mod enumerate;
@@ -34,10 +33,6 @@ pub mod sink;
 pub mod verify;
 
 pub use ast::{Atom, Formula};
-pub use backend::{
-    backend_from_env, solver_config_from_env, threads_requested, PortfolioOptions, SolveBackend,
-    Speculation,
-};
 pub use cardinality::CardEncoding;
 pub use encoder::{EncodeConfig, Encoder};
 pub use int::{Bound, OrderInt};

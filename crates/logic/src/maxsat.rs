@@ -21,7 +21,7 @@ use crate::cardinality::{self, CardEncoding};
 use crate::encoder::Encoder;
 use crate::pb::{gte_outputs, PbTerm};
 use crate::sink::ClauseSink;
-use netarch_sat::{Lit, ProbePool, SolveResult};
+use netarch_sat::{Lit, SolveResult};
 
 /// A soft constraint: violating `formula` costs `weight`.
 #[derive(Clone, Debug)]
@@ -123,10 +123,7 @@ pub fn minimize_under(
     let terms: Vec<PbTerm> = encoder.gated_scope(gate, |e| {
         softs.iter().map(|s| PbTerm::new(s.weight, !e.lit_for(&s.formula))).collect()
     });
-    // Decisive one-shot probes route through the configured backend (the
-    // portfolio pays off exactly here); core/MUS-bearing paths elsewhere
-    // stay on the sequential session solver.
-    if encoder.solve_with_backend(&context) != SolveResult::Sat {
+    if encoder.solve_with(&context) != SolveResult::Sat {
         return MaxSatOutcome::HardUnsat;
     }
     let first_cost = model_cost(encoder, softs);
@@ -138,33 +135,9 @@ pub fn minimize_under(
         }
         return MaxSatOutcome::Optimal { cost: 0, violated: first_violated };
     }
-    let first_model = (encoder.parallel_seats() >= 2).then(|| encoder.model_snapshot());
     let outputs = encoder.gated_scope(gate, |e| gte_outputs(e, &terms, first_cost).outputs);
     let objective = Objective { softs, outputs };
-    let first = (first_cost, first_violated);
-    // When the backend grants parallel seats, the descent runs on one
-    // persistent probe pool built over the CNF *with* the capped circuit,
-    // so every worker builds it exactly once. The sequential path below
-    // defines the semantics; the pooled path must return exactly its
-    // answers.
-    if let Some(first_model) = first_model {
-        // Every probe assumes the context plus negated totalizer outputs;
-        // declare them all so no seat eliminates one.
-        let mut assumable = context.clone();
-        assumable.extend(objective.outputs.iter().map(|&(_, l)| l));
-        if let Some(pool) = encoder.probe_pool(&assumable) {
-            return minimize_under_pooled(
-                encoder,
-                &objective,
-                &context,
-                gate,
-                pool,
-                first,
-                first_model,
-            );
-        }
-    }
-    minimize_under_sequential(encoder, &objective, &context, gate, first)
+    descend(encoder, &objective, &context, gate, (first_cost, first_violated))
 }
 
 /// One level's capped objective circuit, built for a single descent.
@@ -206,7 +179,9 @@ impl Objective<'_> {
     }
 }
 
-fn minimize_under_sequential(
+/// The binary-search descent below the first model's cost, then the
+/// optimum hardened behind `gate` with an optimal model restored.
+fn descend(
     encoder: &mut Encoder,
     objective: &Objective,
     context: &[Lit],
@@ -226,7 +201,7 @@ fn minimize_under_sequential(
         }
         let mid = (lo + hi) / 2;
         let target = candidates[mid];
-        match encoder.solve_with_backend(&objective.bound(context, target)) {
+        match encoder.solve_with(&objective.bound(context, target)) {
             SolveResult::Sat => {
                 let cost = model_cost(encoder, softs);
                 debug_assert!(cost <= target, "model violates assumed bound");
@@ -241,132 +216,8 @@ fn minimize_under_sequential(
 
     // Harden the optimum behind the gate and restore an optimal model.
     objective.harden(encoder, gate, best_cost);
-    let restored = encoder.solve_with_backend(context);
+    let restored = encoder.solve_with(context);
     debug_assert_eq!(restored, SolveResult::Sat);
-    MaxSatOutcome::Optimal { cost: best_cost, violated: best_violated }
-}
-
-/// The racing descent. Every bound probe comes from one persistent
-/// [`ProbePool`], so each seat builds the CNF once and keeps its learnt
-/// clauses warm across rounds — routing each probe through a one-shot
-/// portfolio dispatch would instead rebuild the mirror on every cold
-/// worker per probe. The pool starts from the feasibility model the
-/// caller already holds.
-///
-/// Each round probes a window of candidate bounds — the midpoint (the
-/// sequential probe), the quarter-point, and the most aggressive open
-/// candidate — with idle seats joining the window's probes round-robin, so
-/// a short window still races diversified solvers on every seat. Every
-/// probe sits at or below the midpoint on purpose: in racing mode only the
-/// fastest seat may come back decisive, and a window reaching above the
-/// midpoint (e.g. a `best - 1` probe) would let an easy barely-below-best
-/// SAT answer win round after round while contributing almost no progress.
-/// Capping at the midpoint guarantees any surviving SAT verdict bisects
-/// the open range and any surviving UNSAT verdict advances `lo`, so a race
-/// can only speed convergence up, never degrade it below the sequential
-/// bisection rate.
-///
-/// SAT at a bound tightens `best_cost` (exactness comes from the model,
-/// exactly as in the sequential loop); UNSAT at a bound raises `lo` past
-/// it. Both facts are monotone, so folding them in fixed seat order keeps
-/// the final state independent of which seat answered first — deterministic
-/// mode is bit-identical run to run. The optimal witness is the best model
-/// already in hand, installed as the session's model override (exactly a
-/// one-shot portfolio win) rather than re-discovered with a final solve.
-fn minimize_under_pooled(
-    encoder: &mut Encoder,
-    objective: &Objective,
-    context: &[Lit],
-    gate: Lit,
-    mut pool: ProbePool,
-    (mut best_cost, mut best_violated): (u64, Vec<usize>),
-    mut best_model: Vec<Option<bool>>,
-) -> MaxSatOutcome {
-    let softs = objective.softs;
-    let seats = pool.seats();
-    let mut rounds = 0u64;
-    let candidates = objective.candidates();
-    let mut lo = 0usize;
-    let mut pooled_ok = true;
-    while pooled_ok && best_cost > 0 {
-        let hi = candidates.partition_point(|&c| c < best_cost);
-        if lo >= hi {
-            break; // nothing achievable below best_cost
-        }
-        let mid = (lo + hi) / 2;
-        let mut window = vec![mid, lo + (hi - lo) / 4, lo];
-        window.sort_unstable();
-        window.dedup();
-        window.truncate(seats);
-        let targets: Vec<usize> = (0..seats).map(|i| window[i % window.len()]).collect();
-        let probes: Vec<Vec<Lit>> = targets
-            .iter()
-            .map(|&idx| objective.bound(context, candidates[idx]))
-            .collect();
-        let outcomes = pool.solve_round(&probes);
-        rounds += 1;
-        let mut progressed = false;
-        for (&idx, outcome) in targets.iter().zip(&outcomes) {
-            match outcome.result {
-                SolveResult::Sat => {
-                    let model = outcome.model.as_deref().expect("SAT probes carry a model");
-                    let cost = model_cost_in(encoder, softs, model);
-                    debug_assert!(cost <= candidates[idx], "model violates assumed bound");
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best_violated = violated_indices_in(encoder, softs, model);
-                        best_model = model.to_vec();
-                        progressed = true;
-                    }
-                }
-                SolveResult::Unsat => {
-                    if idx + 1 > lo {
-                        lo = idx + 1;
-                        progressed = true;
-                    }
-                }
-                SolveResult::Unknown => {}
-            }
-        }
-        // A wholly inconclusive round cannot happen without a conflict
-        // budget; if it somehow does, stop racing rather than spin.
-        pooled_ok = progressed;
-    }
-    encoder.absorb_parallel(&pool.finish(), rounds);
-    if !pooled_ok {
-        // Safety net: discharge the remaining proof obligation on the
-        // session solver so the returned bound is still a proven optimum.
-        while best_cost > 0 {
-            let hi = candidates.partition_point(|&c| c < best_cost);
-            if lo >= hi {
-                break;
-            }
-            let mid = (lo + hi) / 2;
-            let target = candidates[mid];
-            match encoder.solve_with(&objective.bound(context, target)) {
-                SolveResult::Sat => {
-                    let cost = model_cost(encoder, softs);
-                    best_cost = cost.min(target);
-                    best_violated = violated_indices(encoder, softs);
-                }
-                SolveResult::Unsat | SolveResult::Unknown => {
-                    lo = mid + 1;
-                }
-            }
-        }
-    }
-    objective.harden(encoder, gate, best_cost);
-    if pooled_ok {
-        debug_assert_eq!(
-            model_cost_in(encoder, softs, &best_model),
-            best_cost,
-            "retained witness must achieve the optimum"
-        );
-        encoder.install_model_override(best_model);
-    } else {
-        let restored = encoder.solve_with(context);
-        debug_assert_eq!(restored, SolveResult::Sat);
-    }
     MaxSatOutcome::Optimal { cost: best_cost, violated: best_violated }
 }
 
@@ -381,23 +232,6 @@ fn violated_indices(encoder: &Encoder, soft: &[Soft]) -> Vec<usize> {
 
 fn model_cost(encoder: &Encoder, soft: &[Soft]) -> u64 {
     violated_indices(encoder, soft)
-        .into_iter()
-        .map(|i| soft[i].weight)
-        .sum()
-}
-
-/// [`violated_indices`] against a raw worker model instead of the session
-/// model (unmapped atoms count as false, matching projected semantics).
-fn violated_indices_in(encoder: &Encoder, soft: &[Soft], model: &[Option<bool>]) -> Vec<usize> {
-    soft.iter()
-        .enumerate()
-        .filter(|(_, s)| !s.formula.eval(&|a| encoder.atom_value_in(a, model).unwrap_or(false)))
-        .map(|(i, _)| i)
-        .collect()
-}
-
-fn model_cost_in(encoder: &Encoder, soft: &[Soft], model: &[Option<bool>]) -> u64 {
-    violated_indices_in(encoder, soft, model)
         .into_iter()
         .map(|i| soft[i].weight)
         .sum()
@@ -804,7 +638,7 @@ mod tests {
                 soft.iter().map(|s| PbTerm::new(s.weight, !e.lit_for(&s.formula))).collect();
             gte_outputs(e, &terms, total).outputs
         });
-        minimize_under_sequential(e, &Objective { softs: soft, outputs }, &[gate], gate, first)
+        descend(e, &Objective { softs: soft, outputs }, &[gate], gate, first)
     }
 
     type RawLit = (usize, bool);

@@ -15,8 +15,10 @@
 //! - model enumeration (optionally projected onto a variable subset),
 //! - DRAT proof logging ([`proof`]) with an independent counter-based
 //!   RUP/DRAT checker ([`checker`]) so UNSAT verdicts are certifiable,
-//! - parallel portfolio solving ([`portfolio`]): diversified workers racing
-//!   under first-winner-cancels, with LBD-filtered clause sharing,
+//! - certified restart-boundary inprocessing (subsumption, vivification,
+//!   bounded variable elimination) under a variable-freeze contract,
+//! - scoped encodings: [`Solver::mark`] / [`Solver::release_since`] give a
+//!   per-query encoding's variables back to the session,
 //! - DIMACS CNF I/O,
 //! - per-feature ablation switches in [`SolverConfig`].
 //!
@@ -41,17 +43,12 @@ pub mod dimacs;
 pub mod enumerate;
 mod heap;
 mod lit;
-pub mod portfolio;
-pub mod probes;
 pub mod proof;
 mod solver;
 mod stats;
 
 pub use checker::{check_refutation, check_refutation_under_assumptions, CheckError, Checker};
-pub use enumerate::{enumerate_projected_cubes, CubeEnumeration};
 pub use lit::{LBool, Lit, Var};
-pub use portfolio::{Portfolio, PortfolioConfig, PortfolioResult, PortfolioStats};
-pub use probes::{lit_value_in, ProbeOutcome, ProbePool, ProbePoolConfig};
 pub use proof::{DratProof, ProofSink, ProofStep};
-pub use solver::{ClauseExchange, SessionMark, SolveResult, Solver, SolverConfig};
+pub use solver::{SessionMark, SolveResult, Solver, SolverConfig};
 pub use stats::Stats;

@@ -24,8 +24,6 @@ use crate::heap::VarHeap;
 use crate::lit::{LBool, Lit, Var};
 use crate::proof::{DratProof, ProofSink};
 use crate::stats::Stats;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -70,28 +68,6 @@ struct Watcher {
     blocker: Lit,
 }
 
-/// A learnt-clause exchange channel between cooperating solvers (the
-/// portfolio's sharing fabric — see [`crate::portfolio`]).
-///
-/// The solver offers every learnt clause through [`ClauseExchange::export`]
-/// together with its literal-block distance, and pulls foreign clauses in
-/// through [`ClauseExchange::import`] at restart boundaries (the only point
-/// where the trail is guaranteed to be at the root level). Implementations
-/// decide the filtering policy (e.g. "glue clauses only"); `export` returns
-/// whether the clause was actually published so the solver's
-/// [`Stats::exported_clauses`] counter stays truthful.
-///
-/// Imports are disabled while DRAT proof logging is active: a clause learnt
-/// by *another* solver is not derivable from this solver's proof log, so
-/// accepting it would make the recorded proof unreplayable.
-pub trait ClauseExchange: Send {
-    /// Offers a learnt clause (with its LBD). Returns `true` if published.
-    fn export(&mut self, lits: &[Lit], lbd: u32) -> bool;
-
-    /// Appends foreign clauses (with their recorded LBDs) to `buf`.
-    fn import(&mut self, buf: &mut Vec<(Vec<Lit>, u32)>);
-}
-
 /// Tunable solver parameters. The defaults match common CDCL practice.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
@@ -113,18 +89,6 @@ pub struct SolverConfig {
     pub learnt_size_factor: f64,
     /// Growth of the learnt-clause cap at each reduction.
     pub learnt_size_inc: f64,
-    /// Initial saved phase for fresh variables (portfolio diversification:
-    /// a worker that starts "all true" explores the opposite corner of the
-    /// search space from the default "all false" worker).
-    pub default_polarity: bool,
-    /// Probability that a decision picks a seeded-random variable and
-    /// polarity instead of the VSIDS maximum (0.0 disables; portfolio
-    /// workers use small values for tie-breaking diversification).
-    pub random_decision_freq: f64,
-    /// Seed for the decision RNG. All randomness in the solver flows from
-    /// this value — there is no ambient entropy — so equal configs replay
-    /// identical searches.
-    pub random_seed: u64,
     /// Enable restart-boundary inprocessing: subsumption/self-subsumption,
     /// clause vivification, and bounded variable elimination (see
     /// [`Solver::inprocess`]). Every simplification emits DRAT, so proofs
@@ -160,9 +124,6 @@ impl Default for SolverConfig {
             minimize_enabled: true,
             learnt_size_factor: 1.0 / 3.0,
             learnt_size_inc: 1.1,
-            default_polarity: false,
-            random_decision_freq: 0.0,
-            random_seed: 0,
             inprocessing_enabled: true,
             inprocess_interval: 4,
             vivify_budget: 20_000,
@@ -219,16 +180,6 @@ pub struct Solver {
     budget: Option<u64>,
     /// DRAT proof output, when enabled (see [`Solver::record_proof`]).
     proof: Option<ProofOut>,
-    /// Cooperative cancellation flag, polled once per search-loop
-    /// iteration (i.e. at least once per conflict or decision).
-    interrupt: Option<Arc<AtomicBool>>,
-    /// Learnt-clause exchange channel (portfolio sharing).
-    exchange: Option<Box<dyn ClauseExchange>>,
-    /// True when the most recent solve returned early because the
-    /// interrupt flag was observed.
-    last_interrupted: bool,
-    /// xorshift64* state for seeded decision randomness.
-    rng_state: u64,
     /// Variables exempt from bounded variable elimination: anything the
     /// caller may still mention in future clauses or assumptions (the
     /// freeze contract — see [`Solver::freeze_var`]). Assumption variables
@@ -278,12 +229,6 @@ impl Solver {
 
     /// Creates a solver with explicit configuration.
     pub fn with_config(config: SolverConfig) -> Solver {
-        // Mix the seed so state is never zero (xorshift's fixed point).
-        let rng_state = config
-            .random_seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(0x2545_F491_4F6C_DD1D)
-            | 1;
         Solver {
             config,
             db: ClauseDb::new(),
@@ -306,10 +251,6 @@ impl Solver {
             conflict_core: Vec::new(),
             budget: None,
             proof: None,
-            interrupt: None,
-            exchange: None,
-            last_interrupted: false,
-            rng_state,
             frozen: Vec::new(),
             status: Vec::new(),
             elim_stack: Vec::new(),
@@ -318,34 +259,6 @@ impl Solver {
             inprocess_gap: 0,
             stats: Stats::default(),
         }
-    }
-
-    /// Installs a cooperative cancellation flag. The search loop polls it
-    /// once per iteration (so at least once per conflict/decision); when it
-    /// reads `true` the running solve unwinds to the root level and returns
-    /// [`SolveResult::Unknown`], with [`Solver::last_interrupted`] set.
-    pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
-        self.interrupt = Some(flag);
-    }
-
-    /// Removes any installed interrupt flag.
-    pub fn clear_interrupt(&mut self) {
-        self.interrupt = None;
-    }
-
-    /// True when the most recent solve returned [`SolveResult::Unknown`]
-    /// because the interrupt flag was observed (as opposed to budget
-    /// exhaustion).
-    pub fn last_interrupted(&self) -> bool {
-        self.last_interrupted
-    }
-
-    /// Installs a learnt-clause exchange channel (portfolio sharing).
-    /// Exports flow on every learnt clause; imports are pulled at restart
-    /// boundaries, and are skipped entirely while proof logging is active
-    /// (a foreign clause would make the local DRAT log unreplayable).
-    pub fn set_exchange(&mut self, exchange: Box<dyn ClauseExchange>) {
-        self.exchange = Some(exchange);
     }
 
     /// Starts recording a DRAT proof in memory. Every clause the solver
@@ -415,7 +328,7 @@ impl Solver {
         self.level.push(0);
         self.reason.push(ClauseRef::INVALID);
         self.activity.push(0.0);
-        self.polarity.push(self.config.default_polarity);
+        self.polarity.push(false);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -671,7 +584,6 @@ impl Solver {
     /// of assumptions that participated in the refutation.
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.conflict_core.clear();
-        self.last_interrupted = false;
         if !self.ok {
             // Even the short-circuit path must invalidate the model: a
             // caller that ignores the UNSAT result must not be able to read
@@ -734,14 +646,7 @@ impl Solver {
                 SearchOutcome::Restart => {
                     self.stats.restarts += 1;
                     self.backtrack_to(0);
-                    // Restart boundaries are the one point where the trail
-                    // is guaranteed to be at the root level, so foreign
-                    // clauses can be integrated without repair work.
-                    if !self.import_shared() {
-                        self.model.clear();
-                        return SolveResult::Unsat;
-                    }
-                    // Restart boundaries are also where inprocessing runs:
+                    // Restart boundaries are where inprocessing runs:
                     // the trail is at root level, so clauses can be deleted,
                     // strengthened, and resolved away without repair work.
                     if !self.maybe_inprocess() {
@@ -752,13 +657,6 @@ impl Solver {
                 SearchOutcome::BudgetExhausted => {
                     self.model.clear();
                     self.backtrack_to(0);
-                    return SolveResult::Unknown;
-                }
-                SearchOutcome::Interrupted => {
-                    self.stats.interrupts += 1;
-                    self.model.clear();
-                    self.backtrack_to(0);
-                    self.last_interrupted = true;
                     return SolveResult::Unknown;
                 }
             }
@@ -1145,124 +1043,7 @@ impl Solver {
         self.qhead = bound.min(self.qhead);
     }
 
-    /// Pulls foreign clauses from the exchange at a restart boundary (trail
-    /// at root level). Returns `false` when an import makes the instance
-    /// unsatisfiable outright. No-op while proof logging is active: foreign
-    /// clauses are not derivable in the local DRAT log.
-    fn import_shared(&mut self) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        if self.exchange.is_none() || self.proof.is_some() {
-            return self.ok;
-        }
-        let mut incoming: Vec<(Vec<Lit>, u32)> = Vec::new();
-        self.exchange.as_mut().unwrap().import(&mut incoming);
-        for (lits, lbd) in incoming {
-            if !self.integrate_import(&lits, lbd) {
-                self.ok = false;
-                return false;
-            }
-        }
-        // Imported units may cascade; settle propagation before searching.
-        if self.propagate().is_some() {
-            self.ok = false;
-            return false;
-        }
-        true
-    }
-
-    /// Integrates one foreign learnt clause at the root level, applying the
-    /// same normalization as [`Solver::add_clause`]. Returns `false` when
-    /// the clause refutes the instance.
-    fn integrate_import(&mut self, lits: &[Lit], lbd: u32) -> bool {
-        let mut c: Vec<Lit> = lits
-            .iter()
-            .copied()
-            .filter(|l| l.var().index() < self.num_vars())
-            .collect();
-        if c.len() != lits.len() {
-            // A clause mentioning variables this solver never allocated
-            // cannot come from a well-formed portfolio; drop it.
-            return true;
-        }
-        if c.iter().any(|l| !self.is_active(l.var().index())) {
-            // This worker eliminated a variable the foreign clause still
-            // mentions; re-introducing it would undo the elimination, so
-            // the import is skipped (sound: imports are only ever pruning).
-            return true;
-        }
-        c.sort_unstable();
-        c.dedup();
-        let mut simplified = Vec::with_capacity(c.len());
-        for (i, &l) in c.iter().enumerate() {
-            if i + 1 < c.len() && c[i + 1] == !l {
-                return true; // tautology
-            }
-            match self.lit_value(l) {
-                LBool::True => return true, // root-satisfied: nothing to learn
-                LBool::False => {}
-                LBool::Undef => simplified.push(l),
-            }
-        }
-        match simplified.len() {
-            0 => false,
-            1 => {
-                self.enqueue(simplified[0], ClauseRef::INVALID);
-                self.stats.imported_clauses += 1;
-                self.propagate().is_none()
-            }
-            len => {
-                let cref = self.db.add(&simplified, true);
-                self.db.set_lbd(cref, lbd.clamp(1, len as u32));
-                self.attach(cref);
-                self.stats.imported_clauses += 1;
-                true
-            }
-        }
-    }
-
-    /// xorshift64*: the only source of randomness in the solver, fully
-    /// determined by `SolverConfig::random_seed`.
-    #[inline]
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Occasionally picks a seeded-random unassigned variable (and random
-    /// polarity) instead of the VSIDS maximum. The skipped heap entries are
-    /// harmless: `backtrack_to` re-inserts unassigned variables, and
-    /// `VarHeap::insert` is idempotent.
-    fn pick_random_decision(&mut self) -> Option<Lit> {
-        let n = self.num_vars();
-        if n == 0 {
-            return None;
-        }
-        let r = self.next_rand();
-        let start = (r % n as u64) as usize;
-        let sign = (r >> 32) & 1 == 1;
-        for off in 0..n {
-            let v = Var::from_index((start + off) % n);
-            if self.assigns[v.index()] == LBool::Undef && self.is_active(v.index()) {
-                return Some(Lit::new(v, sign));
-            }
-        }
-        None
-    }
-
     fn pick_decision(&mut self) -> Option<Lit> {
-        if self.config.random_decision_freq > 0.0 {
-            let r = self.next_rand() as f64 / u64::MAX as f64;
-            if r < self.config.random_decision_freq {
-                if let Some(lit) = self.pick_random_decision() {
-                    self.stats.random_decisions += 1;
-                    return Some(lit);
-                }
-            }
-        }
         if self.config.vsids_enabled {
             // Eliminated variables are skipped (they occur in no live clause
             // and get their values from model reconstruction); dropping them
@@ -1290,14 +1071,6 @@ impl Solver {
     ) -> SearchOutcome {
         let mut conflicts_this_restart = 0u64;
         loop {
-            // Poll the cancellation flag first so a pre-set flag is observed
-            // before any further conflicts accrue (the cancellation test
-            // depends on this bound).
-            if let Some(flag) = &self.interrupt {
-                if flag.load(Ordering::Relaxed) {
-                    return SearchOutcome::Interrupted;
-                }
-            }
             if let Some(conflict) = self.propagate() {
                 self.stats.conflicts += 1;
                 conflicts_this_restart += 1;
@@ -1310,14 +1083,8 @@ impl Solver {
                 self.proof_add(&learnt);
                 // LBD is computed before backtracking, but `level[]` entries
                 // are not cleared on unassignment, so the value is identical
-                // either way; computing it here lets the export hook and the
-                // clause DB share one computation.
+                // either way.
                 let lbd = if learnt.len() == 1 { 1 } else { self.compute_lbd(&learnt) };
-                if let Some(ex) = &mut self.exchange {
-                    if ex.export(&learnt, lbd) {
-                        self.stats.exported_clauses += 1;
-                    }
-                }
                 // Chronological backtracking: when the non-chronological
                 // backjump would discard many decision levels, step back a
                 // single level instead (Nadel & Ryvchin). The learnt clause
@@ -1518,7 +1285,6 @@ enum SearchOutcome {
     Unsat,
     Restart,
     BudgetExhausted,
-    Interrupted,
 }
 
 /// The Luby restart sequence: 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,…

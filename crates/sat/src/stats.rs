@@ -30,14 +30,6 @@ pub struct Stats {
     /// Root-satisfied clauses reclaimed by [`crate::Solver::simplify`]
     /// (mostly retired activation-gated clauses in incremental sessions).
     pub garbage_collected_clauses: u64,
-    /// Learnt clauses accepted by the portfolio exchange on export.
-    pub exported_clauses: u64,
-    /// Foreign clauses integrated from the portfolio exchange.
-    pub imported_clauses: u64,
-    /// Solves that ended early because the interrupt flag was observed.
-    pub interrupts: u64,
-    /// Decisions taken by the seeded random policy instead of VSIDS.
-    pub random_decisions: u64,
     /// Inprocessing rounds executed at restart boundaries.
     pub inprocessings: u64,
     /// Clauses deleted because another live clause subsumes them.
@@ -54,9 +46,9 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Adds every counter from `other` into `self`. The parallel query
-    /// loops use this to fold worker-solver statistics into one session
-    /// total, so counters never silently vanish with the throwaway workers.
+    /// Adds every counter from `other` into `self`, so statistics of
+    /// several solvers (e.g. an engine's cached capacity sessions) fold
+    /// into one total.
     pub fn absorb(&mut self, other: &Stats) {
         self.solves += other.solves;
         self.decisions += other.decisions;
@@ -70,10 +62,6 @@ impl Stats {
         self.deleted_clauses += other.deleted_clauses;
         self.retired_activations += other.retired_activations;
         self.garbage_collected_clauses += other.garbage_collected_clauses;
-        self.exported_clauses += other.exported_clauses;
-        self.imported_clauses += other.imported_clauses;
-        self.interrupts += other.interrupts;
-        self.random_decisions += other.random_decisions;
         self.inprocessings += other.inprocessings;
         self.subsumed += other.subsumed;
         self.strengthened += other.strengthened;
@@ -89,7 +77,6 @@ impl fmt::Display for Stats {
             f,
             "solves={} decisions={} propagations={} conflicts={} restarts={} \
              learnt={} deleted={} minimized_lits={} retired={} gc={} \
-             exported={} imported={} interrupts={} random_decisions={} \
              inprocessings={} subsumed={} strengthened={} eliminated_vars={} \
              vivified={} chrono_backtracks={}",
             self.solves,
@@ -102,10 +89,6 @@ impl fmt::Display for Stats {
             self.minimized_literals,
             self.retired_activations,
             self.garbage_collected_clauses,
-            self.exported_clauses,
-            self.imported_clauses,
-            self.interrupts,
-            self.random_decisions,
             self.inprocessings,
             self.subsumed,
             self.strengthened,
@@ -123,12 +106,12 @@ mod tests {
     #[test]
     fn absorb_adds_fieldwise() {
         let mut a = Stats { solves: 2, conflicts: 7, eliminated_vars: 1, ..Stats::default() };
-        let b = Stats { solves: 3, conflicts: 5, interrupts: 4, ..Stats::default() };
+        let b = Stats { solves: 3, conflicts: 5, vivified: 4, ..Stats::default() };
         a.absorb(&b);
         assert_eq!(a.solves, 5);
         assert_eq!(a.conflicts, 12);
         assert_eq!(a.eliminated_vars, 1);
-        assert_eq!(a.interrupts, 4);
+        assert_eq!(a.vivified, 4);
         // Absorbing the default is the identity.
         let before = a;
         a.absorb(&Stats::default());

@@ -1,7 +1,7 @@
 //! Latency/throughput reporting over response streams.
 //!
 //! The summary JSON separates *content* fields (counts, hit rates,
-//! disagreements — deterministic under a sequential backend) from
+//! disagreements — deterministic) from
 //! *timing* fields (qps, percentiles — never reproducible). The
 //! determinism suite compares summaries after [`strip_timing`], which
 //! removes exactly the timing-derived keys; everything that survives

@@ -13,9 +13,8 @@
 //! tweaked context) land beside their relatives, so one shard's LRU
 //! concentrates a tenant's iteration loop instead of scattering it.
 //! With caching off, requests round-robin by id. Neither mode consults
-//! runtime state, so the shard assignment — and with the sequential
-//! backend, every answer and counter — is a pure function of the
-//! request tape. The differential and determinism suites hold the
+//! runtime state, so the shard assignment — and every answer and
+//! counter — is a pure function of the request tape. The differential and determinism suites hold the
 //! service to exactly that.
 //!
 //! **Eviction is logical-clock LRU.** Each worker stamps cache entries
@@ -28,7 +27,6 @@ use std::time::Instant;
 
 use netarch_core::fingerprint::{fingerprint_scenario, ScenarioFingerprint};
 use netarch_core::prelude::*;
-use netarch_logic::SolveBackend;
 
 use crate::request::{run_query, Request, Response};
 
@@ -43,8 +41,6 @@ pub struct ServiceConfig {
     /// compiles a throwaway engine (the baseline the cache is measured
     /// against) and routing degrades to round-robin.
     pub cache: bool,
-    /// Solve backend for every engine the service compiles.
-    pub backend: SolveBackend,
 }
 
 impl Default for ServiceConfig {
@@ -53,7 +49,6 @@ impl Default for ServiceConfig {
             shards: 2,
             sessions_per_shard: 4,
             cache: true,
-            backend: netarch_logic::backend_from_env(),
         }
     }
 }
@@ -70,7 +65,7 @@ impl ServiceConfig {
 /// Per-shard counters, returned when the shard's thread joins.
 ///
 /// Contains no timing: everything here must be bit-identical across
-/// reruns of the same tape (under a deterministic backend), and wall
+/// reruns of the same tape, and wall
 /// time never is. Latency lives on individual [`Response`]s.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
@@ -263,7 +258,7 @@ fn shard_worker(
             None => {
                 stats.cache_misses += 1;
                 stats.compiles += 1;
-                match Engine::with_backend(request.scenario.clone(), config.backend.clone()) {
+                match Engine::new(request.scenario.clone()) {
                     Ok(mut engine) => {
                         let answer = run_query(&mut engine, &request.query);
                         if config.cache {

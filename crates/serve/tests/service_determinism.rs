@@ -1,7 +1,6 @@
-//! Run-to-run reproducibility of the service (mirrors
-//! `portfolio_determinism` one layer up).
+//! Run-to-run reproducibility of the service.
 //!
-//! With a sequential backend, the whole pipeline — tape generation,
+//! The whole pipeline — tape generation,
 //! routing, cache hits, eviction, answers, shard counters, the summary
 //! JSON — is a pure function of `(spec, pool, config)`. Two runs must
 //! agree on every bit except wall-clock timing: response `micros` and
@@ -10,7 +9,6 @@
 //! eviction shows up here as a diff.
 
 use netarch_core::prelude::*;
-use netarch_logic::SolveBackend;
 use netarch_rt::json::to_string_pretty;
 use netarch_serve::report::{strip_timing, summary};
 use netarch_serve::{generate_tape, ReplaySpec, Service, ServiceConfig};
@@ -55,7 +53,6 @@ fn run_once(seed: u64) -> (Vec<(u64, usize, bool, String)>, String) {
         shards: 2,
         sessions_per_shard: 2, // small enough to force evictions
         cache: true,
-        backend: SolveBackend::Sequential,
     };
     let started = std::time::Instant::now();
     let (responses, stats) = Service::run(config, tape);
@@ -101,7 +98,6 @@ fn shard_stats_are_reproducible() {
         shards: 4,
         sessions_per_shard: 1,
         cache: true,
-        backend: SolveBackend::Sequential,
     };
     let (_, stats_a) = Service::run(config.clone(), generate_tape(&spec, &pool()));
     let (_, stats_b) = Service::run(config, generate_tape(&spec, &pool()));

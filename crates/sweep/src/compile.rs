@@ -17,7 +17,7 @@ use netarch_rt::Rng;
 use std::fmt;
 
 /// Hard cap on the unconstrained universe (product of group arities).
-/// Exhaustive enumeration is what makes the stream thread-independent, so
+/// Exhaustive enumeration is what makes the stream order-independent, so
 /// the universe must stay walkable; a sweep past this bound is a spec
 /// bug, not a workload.
 pub const MAX_UNIVERSE: u64 = 1 << 16;

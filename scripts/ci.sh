@@ -40,7 +40,7 @@ NETARCH_BENCH_DIR="$narch_tmp" \
 echo "== bench trajectory files =="
 # The committed BENCH_*.json perf summaries must parse and name their
 # experiment (full checks live in tests/bench_trajectory.rs, run above).
-for f in BENCH_scaling.json BENCH_incremental.json BENCH_portfolio.json BENCH_parse.json BENCH_serve.json BENCH_inprocess.json BENCH_parallel_queries.json BENCH_sweep.json; do
+for f in BENCH_scaling.json BENCH_incremental.json BENCH_parse.json BENCH_serve.json BENCH_inprocess.json BENCH_sweep.json; do
     [ -s "$f" ] || { echo "error: missing trajectory file $f" >&2; exit 1; }
 done
 
@@ -56,31 +56,13 @@ echo "== incremental-session smoke =="
 NETARCH_BENCH_DIR="$narch_tmp" \
     cargo run --release --offline -q -p netarch-bench --bin exp_incremental
 
-echo "== portfolio suite (2 threads) =="
-# The portfolio test files again, but with the engine's env-var path
-# exercised too: NETARCH_THREADS=2 routes every decisive one-shot engine
-# probe through a 2-worker portfolio. Verdicts must not change.
-NETARCH_THREADS=2 cargo test -q --offline -p netarch-sat \
-    --test portfolio_differential --test portfolio_determinism \
-    --test portfolio_cancellation --test portfolio_proofs
-NETARCH_THREADS=2 cargo test -q --offline -p netarch-core --test portfolio_engine
-
-echo "== portfolio smoke =="
-# Reduced corpus: zero verdict disagreements and a ≥1.0× median speedup
-# for 4 diversified workers vs 1 (the full bound of ≥1.5× is asserted by
-# the un-flagged run, which CI skips for time).
-NETARCH_BENCH_DIR="$narch_tmp" \
-    cargo run --release --offline -q -p netarch-bench --bin exp_portfolio -- --smoke
-
 echo "== inprocessing suite (certified) =="
 # Restart-boundary inprocessing: the solver-level differential sweep, plus
 # the session-engine suite with every solve proof-checked end-to-end
-# (NETARCH_VERIFY_PROOFS=1) and again under a 2-worker portfolio backend.
-# Frozen-variable regressions here mean the freeze contract broke.
+# (NETARCH_VERIFY_PROOFS=1). Frozen-variable regressions here mean the
+# freeze contract broke.
 cargo test -q --offline -p netarch-sat --test inprocess_properties
 NETARCH_VERIFY_PROOFS=1 cargo test -q --offline -p netarch-core --test interleaved_queries
-NETARCH_VERIFY_PROOFS=1 NETARCH_THREADS=2 cargo test -q --offline -p netarch-core \
-    --test interleaved_queries
 
 echo "== inprocessing smoke =="
 # Reduced session corpus: zero per-query verdict disagreements between
@@ -89,32 +71,6 @@ echo "== inprocessing smoke =="
 # time).
 NETARCH_BENCH_DIR="$narch_tmp" \
     cargo run --release --offline -q -p netarch-bench --bin exp_inprocess -- --smoke
-
-echo "== parallel query loops (2 threads) =="
-# The three parallelized query loops — racing MaxSAT descent, cube-and-
-# conquer enumeration, speculative capacity search — re-run their
-# differential sweeps with the engine env-var path live: answers must
-# match the sequential oracle and deterministic runs must repeat
-# bit-identically.
-NETARCH_THREADS=2 cargo test -q --offline -p netarch-sat \
-    --test parallel_probes --test cube_enumeration
-NETARCH_THREADS=2 cargo test -q --offline -p netarch-logic --test parallel_descent
-NETARCH_THREADS=2 cargo test -q --offline -p netarch-core --test parallel_queries
-
-echo "== parallel query smoke =="
-# Toy shapes through all three loops with the full parallel-vs-sequential
-# oracle; persists BENCH_parallel_queries.json to the temp dir for the
-# regression gate below. Smoke gates correctness only — the ≥1.3× speedup
-# claim on 2 of 3 loops lives in the committed full run.
-NETARCH_BENCH_DIR="$narch_tmp" \
-    cargo run --release --offline -q -p netarch-bench --bin exp_parallel_queries -- --smoke
-
-echo "== serving suite (2 threads) =="
-# The sharded service under the portfolio backend: every shard count ×
-# cache mode must match fresh single-use engines, and seeded runs must
-# reproduce bit-identically modulo timing.
-NETARCH_THREADS=2 cargo test -q --offline -p netarch-serve \
-    --test service_differential --test service_determinism
 
 echo "== serving smoke =="
 # Reduced pool + tape through the sharded service with the full
@@ -140,19 +96,12 @@ if [ "$sweep_got" != "$sweep_golden" ]; then
     echo "  got:      $sweep_got" >&2
     exit 1
 fi
-# The same stream must be reproduced bit-identically under different
-# thread counts: the manifest digest covers every variant in order.
-sweep_mt="$(NETARCH_THREADS=2 cargo run --release --offline -q --bin netarch -- sweep examples/sweep.narch --smoke)"
-if [ "$sweep_mt" != "$sweep_golden" ]; then
-    echo "error: sweep manifest depends on NETARCH_THREADS" >&2
-    exit 1
-fi
 
 echo "== sweep differential smoke =="
-# Reduced sweep universe through the full fan-out: thread-count
-# invariance of the stream plus the warm-session-vs-fresh-oracle
-# differential over every query kind and ordering; persists
-# BENCH_sweep.json to the temp dir for the regression gate below.
+# Reduced sweep universe through the full fan-out: the
+# warm-session-vs-fresh-oracle differential over every query kind and
+# ordering; persists BENCH_sweep.json to the temp dir for the regression
+# gate below.
 NETARCH_BENCH_DIR="$narch_tmp" \
     cargo run --release --offline -q -p netarch-bench --bin exp_sweep -- --smoke
 
@@ -164,17 +113,20 @@ NETARCH_BENCH_CANDIDATE="$narch_tmp" \
     cargo test -q --offline --test bench_regression
 
 echo "== seeded-RNG policy =="
-# Solver, portfolio, and their tests must not read wall clock or ambient
-# entropy: determinism of the deterministic mode (and of every test) rests
-# on all randomness flowing from explicit seeds.
+# The solver and its tests must not read wall clock or ambient entropy:
+# determinism of every solve (and of every test) rests on all randomness
+# flowing from explicit seeds.
 if grep -nE 'thread_rng|from_entropy|rand::random|SystemTime::now|Instant::now' \
-    crates/sat/src/solver.rs crates/sat/src/simplify.rs crates/sat/src/portfolio.rs \
-    crates/sat/src/probes.rs crates/sat/src/enumerate.rs \
-    crates/sat/tests/portfolio_*.rs crates/sat/tests/inprocess_properties.rs \
-    crates/sat/tests/parallel_probes.rs crates/sat/tests/cube_enumeration.rs \
-    crates/logic/tests/parallel_descent.rs crates/core/tests/parallel_queries.rs; then
-    echo "error: wall-clock or ambient-entropy source in solver/portfolio code" >&2
+    crates/sat/src/solver.rs crates/sat/src/simplify.rs crates/sat/src/enumerate.rs \
+    crates/sat/tests/inprocess_properties.rs; then
+    echo "error: wall-clock or ambient-entropy source in solver code" >&2
     exit 1
 fi
+
+echo "== paper-workload benchmark package =="
+# paperbench/ is a workspace of its own, so the workspace build above does
+# not compile it; build and test it here so an engine API change that
+# breaks the benchmark shows up in CI.
+cargo test --release --offline --manifest-path paperbench/Cargo.toml
 
 echo "== ci: all green =="

@@ -206,11 +206,17 @@ pub fn run(args: &[&str]) -> Result<String, String> {
         ["compare", path, a, b, dim] => {
             let engine = load_engine(&[path])?;
             let dimension = parse_dimension(dim)?;
-            let verdict = engine.compare(
-                &SystemId::new(*a),
-                &SystemId::new(*b),
-                &dimension,
-            );
+            let (a_id, b_id) = (SystemId::new(*a), SystemId::new(*b));
+            let catalog = &engine.scenario().catalog;
+            let unknown: Vec<&str> = [(*a, &a_id), (*b, &b_id)]
+                .into_iter()
+                .filter(|(_, id)| catalog.system(id).is_none())
+                .map(|(name, _)| name)
+                .collect();
+            if !unknown.is_empty() {
+                return Err(format!("unknown system id(s) in {path}: {}", unknown.join(", ")));
+            }
+            let verdict = engine.compare(&a_id, &b_id, &dimension);
             Ok(format!("{a} vs {b} on {dimension}: {verdict:?}"))
         }
         [] => Err("no command given".to_string()),
@@ -442,7 +448,6 @@ fn serve_replay(args: &[&str], json: bool) -> Result<String, String> {
         shards,
         sessions_per_shard: sessions,
         cache,
-        backend: netarch::logic::backend_from_env(),
     };
     let started = std::time::Instant::now();
     let (responses, stats) = Service::run(config, tape.clone());

@@ -17,6 +17,16 @@ fn netarch(args: &[&str]) -> (bool, String, String) {
     )
 }
 
+/// Runs the binary and returns its exit code (`None` when killed by a
+/// signal) with its stderr.
+fn netarch_exit(args: &[&str]) -> (Option<i32>, String) {
+    let output = Command::new(env!("CARGO_BIN_EXE_netarch"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    (output.status.code(), String::from_utf8_lossy(&output.stderr).to_string())
+}
+
 /// A temp path no other call in this run shares: tests in one binary run in
 /// parallel under one PID, so the PID alone would let one test delete
 /// another's file. `tag` names the calling test; the counter separates
@@ -65,6 +75,24 @@ fn capacity_reports_fleet_size() {
 }
 
 #[test]
+fn capacity_refuses_fleet_bounds_above_the_ceiling() {
+    let path = demo_scenario_path("capacity_refuses_fleet_bounds_above_the_ceiling");
+    let p = path.to_str().unwrap().to_string();
+    let u64_max = u64::MAX.to_string();
+    for max in [u64_max.as_str(), "4294967296"] {
+        // Exit 1 with a message, never a panic (101) or an abort.
+        let (code, stderr) = netarch_exit(&["capacity", &p, max]);
+        assert_eq!(code, Some(1), "capacity {max}: {stderr}");
+        assert!(
+            stderr.contains(&format!("capacity bound {max} exceeds the limit")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn compare_answers_listing_2_orderings() {
     let path = demo_scenario_path("compare_answers_listing_2_orderings");
     let p = path.to_str().unwrap().to_string();
@@ -78,6 +106,20 @@ fn compare_answers_listing_2_orderings() {
     std::fs::remove_file(&path).ok();
     assert!(ok);
     assert!(stdout.contains("Incomparable"), "{stdout}");
+}
+
+#[test]
+fn compare_rejects_unknown_system_ids() {
+    let path = demo_scenario_path("compare_rejects_unknown_system_ids");
+    let p = path.to_str().unwrap().to_string();
+    let (code, stderr) = netarch_exit(&["compare", &p, "SIMON", "PINGMSH", "monitoring-quality"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("unknown system id(s)") && stderr.contains("PINGMSH"), "{stderr}");
+    assert!(!stderr.contains("SIMON,"), "a known id is not reported: {stderr}");
+    let (code, stderr) = netarch_exit(&["compare", &p, "NOPE_A", "NOPE_B", "isolation"]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("NOPE_A, NOPE_B"), "{stderr}");
 }
 
 #[test]
