@@ -8,13 +8,18 @@ use crate::ordering::{OrderingEdge, PreferenceOrder};
 use crate::types::{Capability, Category, HardwareId, HardwareKind, SystemId};
 use netarch_rt::impl_json_struct;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The knowledge catalog.
+///
+/// Cloning is cheap: the sections are shared behind `Arc`s and copied
+/// only when a clone is modified, so a scenario and the document it was
+/// loaded from can hold the same catalog.
 #[derive(Clone, Default, Debug)]
 pub struct Catalog {
-    systems: BTreeMap<SystemId, SystemSpec>,
-    hardware: BTreeMap<HardwareId, HardwareSpec>,
-    order: PreferenceOrder,
+    systems: Arc<BTreeMap<SystemId, SystemSpec>>,
+    hardware: Arc<BTreeMap<HardwareId, HardwareSpec>>,
+    order: Arc<PreferenceOrder>,
 }
 
 impl_json_struct!(Catalog { systems, hardware, order });
@@ -30,7 +35,7 @@ impl Catalog {
         if self.systems.contains_key(&spec.id) {
             return Err(CatalogError::DuplicateSystem(spec.id));
         }
-        self.systems.insert(spec.id.clone(), spec);
+        Arc::make_mut(&mut self.systems).insert(spec.id.clone(), spec);
         Ok(())
     }
 
@@ -39,7 +44,7 @@ impl Catalog {
         if self.hardware.contains_key(&spec.id) {
             return Err(CatalogError::DuplicateHardware(spec.id));
         }
-        self.hardware.insert(spec.id.clone(), spec);
+        Arc::make_mut(&mut self.hardware).insert(spec.id.clone(), spec);
         Ok(())
     }
 
@@ -51,7 +56,7 @@ impl Catalog {
                 return Err(CatalogError::UnknownSystem(endpoint.clone()));
             }
         }
-        self.order.add(edge);
+        Arc::make_mut(&mut self.order).add(edge);
         Ok(())
     }
 
@@ -200,20 +205,20 @@ impl Catalog {
     pub fn apply(&mut self, delta: CatalogDelta) -> Result<(), CatalogError> {
         let mut next = self.clone();
         for id in &delta.remove_systems {
-            if next.systems.remove(id).is_none() {
+            if Arc::make_mut(&mut next.systems).remove(id).is_none() {
                 return Err(CatalogError::UnknownSystem(id.clone()));
             }
         }
         for spec in delta.upsert_systems {
-            next.systems.insert(spec.id.clone(), spec);
+            Arc::make_mut(&mut next.systems).insert(spec.id.clone(), spec);
         }
         for id in &delta.remove_hardware {
-            if next.hardware.remove(id).is_none() {
+            if Arc::make_mut(&mut next.hardware).remove(id).is_none() {
                 return Err(CatalogError::DuplicateHardware(id.clone()));
             }
         }
         for spec in delta.upsert_hardware {
-            next.hardware.insert(spec.id.clone(), spec);
+            Arc::make_mut(&mut next.hardware).insert(spec.id.clone(), spec);
         }
         // Drop edges touching removed systems; then append new edges.
         let removed: std::collections::BTreeSet<&SystemId> =
@@ -225,9 +230,9 @@ impl Catalog {
             .filter(|e| !removed.contains(&e.better) && !removed.contains(&e.worse))
             .cloned()
             .collect();
-        next.order = PreferenceOrder::new();
+        let mut order = PreferenceOrder::new();
         for e in kept {
-            next.order.add(e);
+            order.add(e);
         }
         for e in delta.add_orderings {
             for endpoint in [&e.better, &e.worse] {
@@ -235,8 +240,9 @@ impl Catalog {
                     return Err(CatalogError::UnknownSystem(endpoint.clone()));
                 }
             }
-            next.order.add(e);
+            order.add(e);
         }
+        next.order = Arc::new(order);
         // Referential integrity of the result.
         let errors = next.validate();
         if let Some(first) = errors.into_iter().next() {

@@ -12,11 +12,17 @@
 //!
 //! The digest is built bottom-up from **fragment digests**: each system
 //! spec, hardware spec, ordering edge, workload, and pin is hashed on its
-//! own (over its canonical JSON serialization, which is deterministic —
-//! struct fields serialize in declaration order and maps in key order)
-//! and the per-section digests are then folded into catalog / context /
-//! full digests. The shared-corpus structure this hash-consing exposes is
-//! what a multi-tenant service routes on: two users posing different
+//! own, over its canonical JSON (deterministic: struct fields serialize
+//! in declaration order and maps in key order), and the per-section
+//! digests are then folded into catalog / context / full digests. A
+//! fragment is hashed by *streaming* its canonical JSON: the `rt::json`
+//! emitter writes straight into an FNV state, so no `Json` tree and no
+//! intermediate string is built, and the bytes hashed are exactly those
+//! `json::to_string` would return. Integers are written exactly, so
+//! values an `f64` cannot tell apart (past 2^53) still hash apart.
+//!
+//! The shared-corpus structure this hash-consing exposes is what a
+//! multi-tenant service routes on: two users posing different
 //! questions over the *same catalog* produce different full fingerprints
 //! but the same [`ScenarioFingerprint::catalog`] component, so their
 //! sessions can be co-located where learned clauses and branching
@@ -30,7 +36,7 @@
 
 use crate::catalog::Catalog;
 use crate::scenario::Scenario;
-use netarch_rt::json::ToJson;
+use netarch_rt::json::{Sink, ToJson};
 use std::fmt;
 
 /// A 128-bit content digest.
@@ -92,13 +98,24 @@ fn mix128(h: u128) -> u128 {
     (u128::from(hi) << 64) | u128::from(lo)
 }
 
+/// An FNV-1a state the canonical JSON emitter writes into: the text is
+/// hashed as it is produced and never stored.
+struct FnvSink(u128);
+
+impl Sink for FnvSink {
+    fn put(&mut self, text: &str) {
+        self.0 = fnv_bytes(self.0, text.as_bytes());
+    }
+}
+
 /// Digest of one fragment: a domain tag plus the fragment's canonical
 /// JSON. The tag keeps fragments from different sections (e.g. a pin and
 /// a workload that happen to serialize identically) in disjoint domains.
 fn fragment<T: ToJson + ?Sized>(tag: &str, value: &T) -> u128 {
     let state = fnv_bytes(FNV_OFFSET, tag.as_bytes());
-    let state = fnv_bytes(state, &[0]);
-    fnv_bytes(state, netarch_rt::json::to_string(value).as_bytes())
+    let mut sink = FnvSink(fnv_bytes(state, &[0]));
+    value.write_json(&mut sink);
+    sink.0
 }
 
 /// Order-insensitive combination: the multiset of fragment digests fully

@@ -9,7 +9,8 @@
 //! touching the engine.
 
 use netarch_rt::impl_json_enum;
-use netarch_rt::json::{FromJson, Json, JsonError, JsonKey, ToJson};
+use netarch_rt::json::{self, FromJson, Json, JsonError, JsonKey, Sink, ToJson};
+use std::borrow::Cow;
 use std::fmt;
 
 macro_rules! string_id {
@@ -57,8 +58,8 @@ macro_rules! string_id {
         // Ids serialize transparently as their inner string, and double
         // as JSON object keys.
         impl ToJson for $name {
-            fn to_json(&self) -> Json {
-                Json::Str(self.0.clone())
+            fn write_json(&self, out: &mut dyn Sink) {
+                json::write_str(&self.0, out);
             }
         }
 
@@ -69,8 +70,8 @@ macro_rules! string_id {
         }
 
         impl JsonKey for $name {
-            fn to_key(&self) -> String {
-                self.0.clone()
+            fn to_key(&self) -> Cow<'_, str> {
+                Cow::Borrowed(&self.0)
             }
             fn from_key(key: &str) -> Result<Self, JsonError> {
                 Ok($name(key.to_string()))
@@ -122,10 +123,10 @@ string_id! {
 macro_rules! enum_json_key {
     ($ty:ident { $($variant:ident),+ $(,)? }) => {
         impl JsonKey for $ty {
-            fn to_key(&self) -> String {
+            fn to_key(&self) -> Cow<'_, str> {
                 match self {
-                    $($ty::$variant => stringify!($variant).to_string(),)+
-                    $ty::Custom(name) => format!("Custom:{name}"),
+                    $($ty::$variant => Cow::Borrowed(stringify!($variant)),)+
+                    $ty::Custom(name) => Cow::Owned(format!("Custom:{name}")),
                 }
             }
             fn from_key(key: &str) -> Result<Self, JsonError> {
@@ -345,12 +346,12 @@ impl_json_enum!(HardwareKind {
 });
 
 impl JsonKey for HardwareKind {
-    fn to_key(&self) -> String {
-        match self {
-            HardwareKind::Switch => "Switch".to_string(),
-            HardwareKind::Nic => "Nic".to_string(),
-            HardwareKind::Server => "Server".to_string(),
-        }
+    fn to_key(&self) -> Cow<'_, str> {
+        Cow::Borrowed(match self {
+            HardwareKind::Switch => "Switch",
+            HardwareKind::Nic => "Nic",
+            HardwareKind::Server => "Server",
+        })
     }
     fn from_key(key: &str) -> Result<Self, JsonError> {
         match key {

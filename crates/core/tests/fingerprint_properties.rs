@@ -18,7 +18,7 @@
 
 use netarch_core::fingerprint::fingerprint_scenario;
 use netarch_core::prelude::*;
-use netarch_rt::json::{FromJson, ToJson};
+use netarch_rt::json::{self, FromJson, ToJson};
 use netarch_rt::prop::{self, gen_vec, Config};
 use netarch_rt::{impl_shrink_struct, prop_assert, prop_assert_eq, Rng};
 
@@ -222,6 +222,40 @@ fn json_roundtrip_preserves_the_fingerprint() {
         );
         Ok(())
     });
+}
+
+#[test]
+fn canonical_text_is_a_fixpoint_of_parse_and_dump() {
+    // The streaming emitter and the tree dumper must agree byte for byte:
+    // fingerprints hash the first, `to_value`/`--json` output uses the
+    // second. Checked on scenarios and on the designs the engine returns.
+    prop::check(&Config::with_cases(32), gen_seed, |seed| {
+        let scenario = build_scenario(seed, true);
+        let text = json::to_string(&scenario);
+        let tree = json::parse(&text).map_err(|e| e.to_string())?;
+        prop_assert_eq!(tree.dump(), text, "scenario text is not a fixpoint");
+        prop_assert_eq!(scenario.to_json(), tree, "derived tree differs from the parsed text");
+        let mut engine = Engine::new(scenario).map_err(|e| e.to_string())?;
+        if let Some(design) = engine.check().map_err(|e| e.to_string())?.design() {
+            let text = json::to_string(design);
+            let tree = json::parse(&text).map_err(|e| e.to_string())?;
+            prop_assert_eq!(tree.dump(), text, "design text is not a fixpoint");
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn integers_past_two_to_the_53_are_fingerprinted_exactly() {
+    // Two scenarios differing only in an integer an `f64` cannot tell
+    // apart hash apart, and the JSON reader refuses the value instead of
+    // rounding it onto its neighbour.
+    let base = build_scenario(&gen_seed(&mut Rng::seed_from_u64(7)), false);
+    let a = base.clone().with_budget(1 << 53);
+    let b = base.with_budget((1 << 53) + 1);
+    assert_ne!(fingerprint_scenario(&a).context, fingerprint_scenario(&b).context);
+    let err = json::from_str::<Scenario>(&json::to_string(&b)).expect_err("rounded read");
+    assert!(err.to_string().contains("out of range for u64"), "{err}");
 }
 
 /// One atomic content edit.

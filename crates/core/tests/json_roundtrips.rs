@@ -7,7 +7,7 @@ use netarch_core::ordering::{OrderingEdge, PreferenceOrder};
 use netarch_core::prelude::*;
 use netarch_rt::json;
 use netarch_rt::prop::{self, gen_vec, Config, Shrink};
-use netarch_rt::{prop_assert_eq, Rng};
+use netarch_rt::{impl_shrink_struct, prop_assert, prop_assert_eq, Rng};
 
 fn roundtrip<T: json::ToJson + json::FromJson>(value: &T) -> T {
     json::from_str(&json::to_string(value)).expect("parses back")
@@ -221,4 +221,79 @@ fn design_roundtrips_with_resource_usage() {
         |_| false,
     );
     assert_eq!(roundtrip(&design), design);
+}
+
+// ---------------------------------------------------------------------------
+// Input robustness: mutated and truncated case-study JSON
+// ---------------------------------------------------------------------------
+
+/// Mutation parameters: where to cut/flip and what to insert.
+#[derive(Debug, Clone)]
+struct JsonMutation {
+    cut: u32,
+    mode: u8,
+    junk: Vec<u8>,
+}
+
+impl_shrink_struct!(JsonMutation { cut, mode, junk });
+
+/// Bytes that steer the parser into every state: structure, escapes,
+/// number grammar, keyword prefixes, control and non-ASCII bytes (the
+/// latter decode lossily to U+FFFD, so the input stays UTF-8).
+const JSON_JUNK: &[u8] = b"{}[]:,\"\\/u0189.eE+-tfn \n\t\x01\x7f\xc3";
+
+/// Applies one truncation/insertion/replacement at a char boundary.
+fn mutate_json(text: &str, m: &JsonMutation) -> String {
+    let mut at = m.cut as usize % (text.len() + 1);
+    while !text.is_char_boundary(at) {
+        at -= 1;
+    }
+    let junk = String::from_utf8_lossy(&m.junk).into_owned();
+    match m.mode {
+        0 => text[..at].to_string(),
+        1 => format!("{}{}{}", &text[..at], junk, &text[at..]),
+        _ => {
+            let mut end = (at + junk.len()).min(text.len());
+            while !text.is_char_boundary(end) {
+                end += 1;
+            }
+            format!("{}{}{}", &text[..at], junk, &text[end..])
+        }
+    }
+}
+
+#[test]
+fn mutated_and_truncated_case_study_json_never_panics() {
+    // Reading a scenario must end in a value or an error, never a panic,
+    // and a syntax error must point inside the input.
+    let text = json::to_string(&netarch_corpus::case_study::scenario());
+    prop::check(
+        &Config::with_cases(128),
+        |rng| JsonMutation {
+            cut: rng.gen_range(0..=text.len() as u32),
+            mode: rng.gen_range(0..3u8),
+            junk: gen_vec(rng, 1..=6, |r| JSON_JUNK[r.gen_range(0..JSON_JUNK.len())]),
+        },
+        |m| {
+            let mutated = mutate_json(&text, m);
+            let read = json::from_str::<Scenario>(&mutated);
+            match json::parse(&mutated) {
+                Ok(_) => Ok(()),
+                Err(syntax) => {
+                    let message = syntax.to_string();
+                    let offset: usize = message
+                        .rsplit_once("at byte ")
+                        .and_then(|(_, n)| n.parse().ok())
+                        .ok_or_else(|| format!("syntax error without a byte offset: {message}"))?;
+                    prop_assert!(
+                        offset <= mutated.len(),
+                        "offset {offset} past the input's {} bytes: {message}",
+                        mutated.len()
+                    );
+                    prop_assert_eq!(read.err(), Some(syntax), "from_str reported another error");
+                    Ok(())
+                }
+            }
+        },
+    );
 }

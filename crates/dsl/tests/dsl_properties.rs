@@ -370,6 +370,21 @@ fn printing_reloaded_documents_is_a_fixpoint() {
     });
 }
 
+#[test]
+fn canonical_json_is_a_fixpoint_of_parse_and_dump() {
+    // `to_string` streams the canonical text; dumping the tree parsed back
+    // from it must reproduce it byte for byte.
+    prop::check(&Config::default(), gen_seed, |seed| {
+        let (catalog, scenario, _) = build_doc(seed);
+        let texts = [netarch_rt::json::to_string(&catalog), netarch_rt::json::to_string(&scenario)];
+        for text in texts {
+            let tree = netarch_rt::json::parse(&text).map_err(|e| e.to_string())?;
+            prop_assert!(tree.dump() == text, "not a fixpoint:\n{text}");
+        }
+        Ok(())
+    });
+}
+
 /// Mutation parameters: where to cut/flip and what to insert.
 #[derive(Debug, Clone)]
 struct MutationSeed {

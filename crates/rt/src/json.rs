@@ -1,4 +1,4 @@
-//! JSON value type, parser, serializer, and conversion traits.
+//! JSON value type, parser, canonical emitter, and conversion traits.
 //!
 //! The encoding conventions deliberately match what the workspace's
 //! previous serde-derived impls produced, so corpora and result files
@@ -14,16 +14,35 @@
 //! * `Range<T>` → `{"start": a, "end": b}`;
 //! * maps → objects keyed through [`JsonKey`].
 //!
+//! Serialization is one streaming emitter: [`ToJson::write_json`] writes
+//! a value's compact, canonical JSON text piece by piece into a [`Sink`]
+//! — a `String`, or a hasher that folds the bytes in as they arrive — so
+//! neither [`to_string`] nor a content fingerprint builds a [`Json`] tree
+//! or an intermediate string. The tree that [`to_value`], [`jobj!`](crate::jobj) and
+//! [`to_string_pretty`] need is read back from the emitted text, so there
+//! is one serializer to keep canonical.
+//!
+//! Integers are emitted exactly. A parsed number is an `f64`, so the
+//! integer [`FromJson`] impls accept only magnitudes up to
+//! [`MAX_EXACT_INT`] (2^53 − 1) and refuse larger ones instead of
+//! rounding them.
+//!
 //! Use [`impl_json_struct!`](crate::impl_json_struct) /
 //! [`impl_json_enum!`](crate::impl_json_enum) to derive the
 //! [`ToJson`]/[`FromJson`] pair declaratively.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::{Index, Range};
+use std::sync::Arc;
 
 /// Maximum nesting depth the parser accepts before bailing out.
 pub const MAX_DEPTH: usize = 128;
+
+/// The largest integer magnitude, 2^53 − 1, that a JSON number (an `f64`)
+/// holds exactly and that no other integer text rounds to.
+pub const MAX_EXACT_INT: f64 = 9_007_199_254_740_991.0;
 
 /// A parsed or constructed JSON value.
 ///
@@ -105,24 +124,22 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if exactly representable.
+    /// The value as a non-negative integer, if it is one no larger than
+    /// [`MAX_EXACT_INT`].
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
+            Json::Num(n) if n.fract() == 0.0 && (0.0..=MAX_EXACT_INT).contains(n) => {
                 Some(*n as u64)
             }
             _ => None,
         }
     }
 
-    /// The value as a signed integer, if exactly representable.
+    /// The value as a signed integer, if its magnitude is at most
+    /// [`MAX_EXACT_INT`].
     pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Json::Num(n)
-                if n.fract() == 0.0 && *n >= i64::MIN as f64 && *n <= i64::MAX as f64 =>
-            {
-                Some(*n as i64)
-            }
+            Json::Num(n) if n.fract() == 0.0 && n.abs() <= MAX_EXACT_INT => Some(*n as i64),
             _ => None,
         }
     }
@@ -145,9 +162,7 @@ impl Json {
 
     /// Serializes compactly (no whitespace).
     pub fn dump(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
+        to_string(self)
     }
 
     /// Serializes with two-space indentation.
@@ -155,38 +170,6 @@ impl Json {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);
         out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => write_number(*n, out),
-            Json::Str(s) => write_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
     }
 
     fn write_pretty(&self, out: &mut String, indent: usize) {
@@ -211,7 +194,7 @@ impl Json {
                         out.push_str(",\n");
                     }
                     push_indent(out, indent + 1);
-                    write_string(k, out);
+                    write_str(k, out);
                     out.push_str(": ");
                     v.write_pretty(out, indent + 1);
                 }
@@ -219,7 +202,7 @@ impl Json {
                 push_indent(out, indent);
                 out.push('}');
             }
-            other => other.write(out),
+            other => other.write_json(out),
         }
     }
 }
@@ -257,39 +240,111 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-fn write_number(n: f64, out: &mut String) {
-    use fmt::Write;
-    if !n.is_finite() {
-        // JSON has no NaN/Inf; degrade to null like lenient emitters do.
-        out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        // Exactly-integral values within f64's exact-integer window
-        // print without a decimal point, matching the old output.
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{n}");
+// ---------------------------------------------------------------------------
+// Canonical emitter
+// ---------------------------------------------------------------------------
+
+/// Where the emitter writes: compact JSON text, delivered in pieces.
+///
+/// The concatenation of the pieces is the canonical text; how the text
+/// is cut into pieces carries no meaning.
+pub trait Sink {
+    /// Appends the next piece of JSON text.
+    fn put(&mut self, text: &str);
+}
+
+impl Sink for String {
+    fn put(&mut self, text: &str) {
+        self.push_str(text);
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    use fmt::Write;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Lets `write!` format straight into a sink.
+struct FmtSink<'a>(&'a mut dyn Sink);
+
+impl fmt::Write for FmtSink<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.put(s);
+        Ok(())
+    }
+}
+
+/// Emits `s` as a quoted JSON string, copying unescaped runs whole.
+pub fn write_str(s: &str, out: &mut dyn Sink) {
+    out.put("\"");
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so both cuts fall on char boundaries.
+        out.put(&s[run..i]);
+        match short {
+            Some(escape) => out.put(escape),
+            None => {
+                use fmt::Write;
+                let _ = write!(FmtSink(out), "\\u{b:04x}");
             }
-            c => out.push(c),
+        }
+        run = i + 1;
+    }
+    out.put(&s[run..]);
+    out.put("\"");
+}
+
+/// Emits an integer exactly: `magnitude`, negated when `negative`.
+fn write_int(magnitude: u64, negative: bool, out: &mut dyn Sink) {
+    let mut buf = [0u8; 21];
+    let mut at = buf.len();
+    let mut n = magnitude;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    out.push('"');
+    if negative {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.put(std::str::from_utf8(&buf[at..]).expect("digits are ascii"));
+}
+
+/// Emits a float: integral values inside f64's exact window print
+/// without a decimal point; JSON has no NaN/Inf, so those degrade to
+/// `null` like lenient emitters do.
+fn write_f64(n: f64, out: &mut dyn Sink) {
+    if !n.is_finite() {
+        out.put("null");
+    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        write_int(n.abs() as u64, n < 0.0, out);
+    } else {
+        use fmt::Write;
+        let _ = write!(FmtSink(out), "{n}");
+    }
+}
+
+/// Emits a JSON array of `items`.
+fn write_seq<'a, T: ToJson + 'a>(items: impl IntoIterator<Item = &'a T>, out: &mut dyn Sink) {
+    out.put("[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.put(",");
+        }
+        item.write_json(out);
+    }
+    out.put("]");
 }
 
 /// Error raised by parsing or [`FromJson`] conversions.
@@ -311,27 +366,50 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+// ---------------------------------------------------------------------------
+// Parser
+// ---------------------------------------------------------------------------
+
 /// Parses a complete JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(value)
+    Parser::new(input, MAX_DEPTH).document()
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    max_depth: usize,
+    /// Elements of the arrays still open, innermost last: each array
+    /// collects here and leaves as one exactly-sized `Vec`. A syntax
+    /// error ends the parse, so nothing needs popping on the error path.
+    items: Vec<Json>,
+    /// Members of the objects still open, likewise.
+    members: Vec<(String, Json)>,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str, max_depth: usize) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            max_depth,
+            items: Vec::new(),
+            members: Vec::new(),
+        }
+    }
+
+    fn document(mut self) -> Result<Json, JsonError> {
+        self.skip_ws();
+        let value = self.value(0)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError(format!("{msg} at byte {}", self.pos))
     }
@@ -365,7 +443,7 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
+        if depth > self.max_depth {
             return Err(self.err("nesting too deep"));
         }
         match self.peek() {
@@ -383,21 +461,22 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
+        let mark = self.items.len();
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            let item = self.value(depth + 1)?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(self.items.drain(mark..).collect()));
                 }
                 _ => return Err(self.err("expected `,` or `]` in array")),
             }
@@ -406,12 +485,12 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
-        let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(Json::Obj(Vec::new()));
         }
+        let mark = self.members.len();
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -419,13 +498,13 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value(depth + 1)?;
-            pairs.push((key, value));
+            self.members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(Json::Obj(self.members.drain(mark..).collect()));
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
@@ -436,6 +515,16 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one piece. Those stop bytes are ASCII, so the run
+            // starts and ends on char boundaries of the input.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -444,62 +533,54 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                if !self.eat_keyword("\\u") {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code)
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
-                            continue; // hex4 already advanced past digits
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
+                    self.escape(&mut out)?;
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so valid).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len()
-                        && (self.bytes[self.pos] & 0xC0) == 0x80
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid utf-8"))?,
-                    );
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
+    }
+
+    /// Decodes one escape sequence after its backslash.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: expect \uXXXX low half.
+                    if !self.eat_keyword("\\u") {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    char::from_u32(0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
+                } else {
+                    char::from_u32(hi)
+                };
+                // hex4 already advanced past the digits.
+                return match c {
+                    Some(c) => {
+                        out.push(c);
+                        Ok(())
+                    }
+                    None => Err(self.err("invalid unicode escape")),
+                };
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -517,31 +598,37 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
         // Integer part: `0` alone or a nonzero-led digit run.
+        let int_start = self.pos;
         match self.peek() {
             Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
+            Some(b'1'..=b'9') => self.digits(),
             _ => return Err(self.err("invalid number")),
         }
+        let int_end = self.pos;
+        let mut integral = true;
         if self.peek() == Some(b'.') {
+            integral = false;
             self.pos += 1;
             if !matches!(self.peek(), Some(b'0'..=b'9')) {
                 return Err(self.err("digits required after decimal point"));
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            integral = false;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
@@ -549,13 +636,17 @@ impl<'a> Parser<'a> {
             if !matches!(self.peek(), Some(b'0'..=b'9')) {
                 return Err(self.err("digits required in exponent"));
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number chars are ascii");
-        text.parse::<f64>()
+        // Up to 15 digits fit an f64 exactly: accumulate them directly.
+        if integral && int_end - int_start <= 15 {
+            let magnitude = self.bytes[int_start..int_end]
+                .iter()
+                .fold(0u64, |n, &b| n * 10 + u64::from(b - b'0')) as f64;
+            return Ok(Json::Num(if negative { -magnitude } else { magnitude }));
+        }
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("number out of range"))
     }
@@ -565,10 +656,19 @@ impl<'a> Parser<'a> {
 // Conversion traits
 // ---------------------------------------------------------------------------
 
-/// Conversion into a [`Json`] value.
+/// Conversion into canonical JSON.
 pub trait ToJson {
-    /// Converts `self` into a JSON value.
-    fn to_json(&self) -> Json;
+    /// Emits `self`'s compact, canonical JSON text into `out`.
+    fn write_json(&self, out: &mut dyn Sink);
+
+    /// Converts `self` into a [`Json`] tree, read back from the emitted
+    /// text (numbers pass through `f64` on the way).
+    fn to_json(&self) -> Json {
+        let text = to_string(self);
+        Parser::new(&text, usize::MAX)
+            .document()
+            .expect("the canonical emitter writes valid JSON")
+    }
 }
 
 /// Conversion from a [`Json`] value.
@@ -579,7 +679,9 @@ pub trait FromJson: Sized {
 
 /// Serializes any [`ToJson`] value compactly.
 pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
-    value.to_json().dump()
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
 }
 
 /// Serializes any [`ToJson`] value with indentation.
@@ -619,14 +721,14 @@ pub fn field<T: FromJson>(j: &Json, name: &str) -> Result<T, JsonError> {
 /// through this trait rather than [`ToJson`].
 pub trait JsonKey: Sized {
     /// Encodes the key as a string.
-    fn to_key(&self) -> String;
+    fn to_key(&self) -> Cow<'_, str>;
     /// Decodes the key from a string.
     fn from_key(key: &str) -> Result<Self, JsonError>;
 }
 
 impl JsonKey for String {
-    fn to_key(&self) -> String {
-        self.clone()
+    fn to_key(&self) -> Cow<'_, str> {
+        Cow::Borrowed(self)
     }
     fn from_key(key: &str) -> Result<Self, JsonError> {
         Ok(key.to_string())
@@ -634,6 +736,28 @@ impl JsonKey for String {
 }
 
 impl ToJson for Json {
+    fn write_json(&self, out: &mut dyn Sink) {
+        match self {
+            Json::Null => out.put("null"),
+            Json::Bool(b) => b.write_json(out),
+            Json::Num(n) => write_f64(*n, out),
+            Json::Str(s) => write_str(s, out),
+            Json::Arr(items) => write_seq(items, out),
+            Json::Obj(pairs) => {
+                out.put("{");
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.put(",");
+                    }
+                    write_str(k, out);
+                    out.put(":");
+                    v.write_json(out);
+                }
+                out.put("}");
+            }
+        }
+    }
+
     fn to_json(&self) -> Json {
         self.clone()
     }
@@ -646,8 +770,8 @@ impl FromJson for Json {
 }
 
 impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
+    fn write_json(&self, out: &mut dyn Sink) {
+        out.put(if *self { "true" } else { "false" });
     }
 }
 
@@ -661,8 +785,9 @@ impl FromJson for bool {
 macro_rules! impl_json_int {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Num(*self as f64)
+            fn write_json(&self, out: &mut dyn Sink) {
+                let n = *self as i128;
+                write_int(n.unsigned_abs() as u64, n < 0, out);
             }
         }
         impl FromJson for $t {
@@ -673,9 +798,15 @@ macro_rules! impl_json_int {
                 if n.fract() != 0.0 {
                     return Err(JsonError(format!("expected integer, got {n}")));
                 }
+                if n.abs() > MAX_EXACT_INT {
+                    return Err(JsonError(format!(
+                        "integer ≈{n:e} is beyond ±2^53 and not exact, out of range for {}",
+                        stringify!($t)
+                    )));
+                }
                 if n < <$t>::MIN as f64 || n > <$t>::MAX as f64 {
                     return Err(JsonError(format!(
-                        "number {n} out of range for {}",
+                        "integer {n} out of range for {}",
                         stringify!($t)
                     )));
                 }
@@ -687,8 +818,8 @@ macro_rules! impl_json_int {
 impl_json_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Num(*self)
+    fn write_json(&self, out: &mut dyn Sink) {
+        write_f64(*self, out);
     }
 }
 
@@ -700,8 +831,8 @@ impl FromJson for f64 {
 }
 
 impl ToJson for f32 {
-    fn to_json(&self) -> Json {
-        Json::Num(*self as f64)
+    fn write_json(&self, out: &mut dyn Sink) {
+        write_f64(*self as f64, out);
     }
 }
 
@@ -712,8 +843,8 @@ impl FromJson for f32 {
 }
 
 impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
+    fn write_json(&self, out: &mut dyn Sink) {
+        write_str(self, out);
     }
 }
 
@@ -726,22 +857,22 @@ impl FromJson for String {
 }
 
 impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
+    fn write_json(&self, out: &mut dyn Sink) {
+        write_str(self, out);
     }
 }
 
 impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
+    fn write_json(&self, out: &mut dyn Sink) {
+        (**self).write_json(out);
     }
 }
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, out: &mut dyn Sink) {
         match self {
-            None => Json::Null,
-            Some(v) => v.to_json(),
+            None => out.put("null"),
+            Some(v) => v.write_json(out),
         }
     }
 }
@@ -756,8 +887,8 @@ impl<T: FromJson> FromJson for Option<T> {
 }
 
 impl<T: ToJson> ToJson for Box<T> {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
+    fn write_json(&self, out: &mut dyn Sink) {
+        (**self).write_json(out);
     }
 }
 
@@ -767,9 +898,21 @@ impl<T: FromJson> FromJson for Box<T> {
     }
 }
 
+impl<T: ToJson + ?Sized> ToJson for Arc<T> {
+    fn write_json(&self, out: &mut dyn Sink) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: FromJson> FromJson for Arc<T> {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        Ok(Arc::new(T::from_json(j)?))
+    }
+}
+
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, out: &mut dyn Sink) {
+        write_seq(self, out);
     }
 }
 
@@ -784,14 +927,14 @@ impl<T: FromJson> FromJson for Vec<T> {
 }
 
 impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, out: &mut dyn Sink) {
+        write_seq(self, out);
     }
 }
 
 impl<T: ToJson + Ord> ToJson for BTreeSet<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, out: &mut dyn Sink) {
+        write_seq(self, out);
     }
 }
 
@@ -806,12 +949,17 @@ impl<T: FromJson + Ord> FromJson for BTreeSet<T> {
 }
 
 impl<K: JsonKey + Ord, V: ToJson> ToJson for BTreeMap<K, V> {
-    fn to_json(&self) -> Json {
-        Json::Obj(
-            self.iter()
-                .map(|(k, v)| (k.to_key(), v.to_json()))
-                .collect(),
-        )
+    fn write_json(&self, out: &mut dyn Sink) {
+        out.put("{");
+        for (i, (k, v)) in self.iter().enumerate() {
+            if i > 0 {
+                out.put(",");
+            }
+            write_str(&k.to_key(), out);
+            out.put(":");
+            v.write_json(out);
+        }
+        out.put("}");
     }
 }
 
@@ -826,11 +974,12 @@ impl<K: JsonKey + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
 }
 
 impl<T: ToJson> ToJson for Range<T> {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("start".to_string(), self.start.to_json()),
-            ("end".to_string(), self.end.to_json()),
-        ])
+    fn write_json(&self, out: &mut dyn Sink) {
+        out.put("{\"start\":");
+        self.start.write_json(out);
+        out.put(",\"end\":");
+        self.end.write_json(out);
+        out.put("}");
     }
 }
 
@@ -860,23 +1009,25 @@ impl<T: FromJson> FromJson for Range<T> {
 /// ```
 #[macro_export]
 macro_rules! impl_json_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
+    ($ty:ty { $first:ident $(, $field:ident)* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::Obj(vec![
-                    $((
-                        stringify!($field).to_string(),
-                        $crate::json::ToJson::to_json(&self.$field),
-                    ),)+
-                ])
+            fn write_json(&self, out: &mut dyn $crate::json::Sink) {
+                out.put(concat!("{\"", stringify!($first), "\":"));
+                $crate::json::ToJson::write_json(&self.$first, out);
+                $(
+                    out.put(concat!(",\"", stringify!($field), "\":"));
+                    $crate::json::ToJson::write_json(&self.$field, out);
+                )*
+                out.put("}");
             }
         }
         impl $crate::json::FromJson for $ty {
             fn from_json(
                 j: &$crate::json::Json,
             ) -> Result<Self, $crate::json::JsonError> {
-                $(let $field = $crate::json::field(j, stringify!($field))?;)+
-                Ok(Self { $($field),+ })
+                let $first = $crate::json::field(j, stringify!($first))?;
+                $(let $field = $crate::json::field(j, stringify!($field))?;)*
+                Ok(Self { $first $(, $field)* })
             }
         }
     };
@@ -914,8 +1065,8 @@ macro_rules! impl_json_struct {
 macro_rules! impl_json_enum {
     ($ty:ident { $($body:tt)+ }) => {
         impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Json {
-                $crate::__json_enum_to_all!(self, $ty, $($body)+);
+            fn write_json(&self, out: &mut dyn $crate::json::Sink) {
+                $crate::__json_enum_to_all!(self, out, $ty, $($body)+);
                 unreachable!("impl_json_enum: variant list must be exhaustive")
             }
         }
@@ -955,14 +1106,15 @@ macro_rules! impl_json_enum {
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __json_enum_to_all {
-    ($self:expr, $ty:ident $(,)?) => {};
-    ($self:expr, $ty:ident, unit $variant:ident $(, $($rest:tt)*)?) => {
-        $crate::__json_enum_to!($self, $ty, unit $variant);
-        $crate::__json_enum_to_all!($self, $ty $(, $($rest)*)?);
+    ($self:expr, $out:ident, $ty:ident $(,)?) => {};
+    ($self:expr, $out:ident, $ty:ident, unit $variant:ident $(, $($rest:tt)*)?) => {
+        $crate::__json_enum_to!($self, $out, $ty, unit $variant);
+        $crate::__json_enum_to_all!($self, $out, $ty $(, $($rest)*)?);
     };
-    ($self:expr, $ty:ident, $shape:ident $variant:ident $payload:tt $(, $($rest:tt)*)?) => {
-        $crate::__json_enum_to!($self, $ty, $shape $variant $payload);
-        $crate::__json_enum_to_all!($self, $ty $(, $($rest)*)?);
+    ($self:expr, $out:ident, $ty:ident,
+     $shape:ident $variant:ident $payload:tt $(, $($rest:tt)*)?) => {
+        $crate::__json_enum_to!($self, $out, $ty, $shape $variant $payload);
+        $crate::__json_enum_to_all!($self, $out, $ty $(, $($rest)*)?);
     };
 }
 
@@ -998,53 +1150,53 @@ macro_rules! __json_enum_from_tagged_all {
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __json_enum_to {
-    ($self:expr, $ty:ident, unit $variant:ident) => {
+    ($self:expr, $out:ident, $ty:ident, unit $variant:ident) => {
         if let $ty::$variant = $self {
-            return $crate::json::Json::Str(stringify!($variant).to_string());
+            $out.put(concat!("\"", stringify!($variant), "\""));
+            return;
         }
     };
-    ($self:expr, $ty:ident, one $variant:ident ($t:ty)) => {
+    ($self:expr, $out:ident, $ty:ident, one $variant:ident ($t:ty)) => {
         if let $ty::$variant(x) = $self {
-            return $crate::json::Json::Obj(vec![(
-                stringify!($variant).to_string(),
-                $crate::json::ToJson::to_json(x),
-            )]);
+            $out.put(concat!("{\"", stringify!($variant), "\":"));
+            $crate::json::ToJson::write_json(x, $out);
+            $out.put("}");
+            return;
         }
     };
-    ($self:expr, $ty:ident, tuple $variant:ident ($t0:ty, $t1:ty)) => {
+    ($self:expr, $out:ident, $ty:ident, tuple $variant:ident ($t0:ty, $t1:ty)) => {
         if let $ty::$variant(a, b) = $self {
-            return $crate::json::Json::Obj(vec![(
-                stringify!($variant).to_string(),
-                $crate::json::Json::Arr(vec![
-                    $crate::json::ToJson::to_json(a),
-                    $crate::json::ToJson::to_json(b),
-                ]),
-            )]);
+            $out.put(concat!("{\"", stringify!($variant), "\":["));
+            $crate::json::ToJson::write_json(a, $out);
+            $out.put(",");
+            $crate::json::ToJson::write_json(b, $out);
+            $out.put("]}");
+            return;
         }
     };
-    ($self:expr, $ty:ident, tuple $variant:ident ($t0:ty, $t1:ty, $t2:ty)) => {
+    ($self:expr, $out:ident, $ty:ident, tuple $variant:ident ($t0:ty, $t1:ty, $t2:ty)) => {
         if let $ty::$variant(a, b, c) = $self {
-            return $crate::json::Json::Obj(vec![(
-                stringify!($variant).to_string(),
-                $crate::json::Json::Arr(vec![
-                    $crate::json::ToJson::to_json(a),
-                    $crate::json::ToJson::to_json(b),
-                    $crate::json::ToJson::to_json(c),
-                ]),
-            )]);
+            $out.put(concat!("{\"", stringify!($variant), "\":["));
+            $crate::json::ToJson::write_json(a, $out);
+            $out.put(",");
+            $crate::json::ToJson::write_json(b, $out);
+            $out.put(",");
+            $crate::json::ToJson::write_json(c, $out);
+            $out.put("]}");
+            return;
         }
     };
-    ($self:expr, $ty:ident, record $variant:ident { $($fname:ident : $fty:ty),+ $(,)? }) => {
-        if let $ty::$variant { $($fname),+ } = $self {
-            return $crate::json::Json::Obj(vec![(
-                stringify!($variant).to_string(),
-                $crate::json::Json::Obj(vec![
-                    $((
-                        stringify!($fname).to_string(),
-                        $crate::json::ToJson::to_json($fname),
-                    ),)+
-                ]),
-            )]);
+    ($self:expr, $out:ident, $ty:ident,
+     record $variant:ident { $f0:ident : $t0:ty $(, $fname:ident : $fty:ty)* $(,)? }) => {
+        if let $ty::$variant { $f0 $(, $fname)* } = $self {
+            $out.put(concat!("{\"", stringify!($variant), "\":{\"", stringify!($f0), "\":"));
+            $crate::json::ToJson::write_json($f0, $out);
+            $(
+                $out.put(concat!(",\"", stringify!($fname), "\":"));
+                $crate::json::ToJson::write_json($fname, $out);
+            )*
+            $out.put("}}");
+            return;
         }
     };
 }
@@ -1165,6 +1317,10 @@ mod tests {
     fn string_escapes_roundtrip() {
         let s = "tab\tnewline\nquote\"backslash\\bell\u{7}unicode\u{1F600}é";
         let j = Json::Str(s.to_string());
+        assert_eq!(
+            j.dump(),
+            "\"tab\\tnewline\\nquote\\\"backslash\\\\bell\\u0007unicode\u{1F600}é\""
+        );
         assert_eq!(parse(&j.dump()).unwrap(), j);
     }
 
@@ -1199,6 +1355,21 @@ mod tests {
         assert_eq!(Json::Num(-7.0).dump(), "-7");
         assert_eq!(Json::Num(2.5).dump(), "2.5");
         assert_eq!(Json::Num(1e9).dump(), "1000000000");
+    }
+
+    #[test]
+    fn tree_conversion_reads_back_the_emitted_text() {
+        let m: BTreeMap<String, Vec<f64>> = [("k".to_string(), vec![1.0, 0.5])].into();
+        assert_eq!(
+            to_value(&m),
+            Json::Obj(vec![(
+                "k".to_string(),
+                Json::Arr(vec![Json::Num(1.0), Json::Num(0.5)])
+            )])
+        );
+        // Deeper than the parser's input limit: the tree still builds.
+        let deep = (0..2 * MAX_DEPTH).fold(Json::Null, |j, _| Json::Arr(vec![j]));
+        assert_eq!(to_value(&Some(deep.clone())), deep);
     }
 
     #[test]

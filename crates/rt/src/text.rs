@@ -269,15 +269,16 @@ pub struct Document {
 
 /// Parses a block-structured document.
 pub fn parse(input: &str) -> Result<Document, TextError> {
-    let tokens = lex(input)?;
-    Parser { tokens, at: 0 }.document()
+    let mut lx = Lexer { src: input, bytes: input.as_bytes(), at: 0, pos: Pos { line: 1, col: 1 } };
+    let (tok, span) = lx.next_token()?;
+    Parser { lx, tok, span, lex_error: None, items: Vec::new(), exprs: Vec::new() }.document()
 }
 
 // ---------------------------------------------------------------------------
 // Lexer
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, PartialEq, Debug)]
+#[derive(PartialEq, Debug)]
 enum Tok {
     Ident(String),
     Str(String),
@@ -302,6 +303,9 @@ enum Tok {
     Ge,
     EqEq,
     Eof,
+    /// Stands in for text the lexer rejected; the error itself waits in
+    /// the parser until a parse step fails on this token.
+    Invalid,
 }
 
 impl Tok {
@@ -330,239 +334,230 @@ impl Tok {
             Tok::Ge => "`>=`".to_string(),
             Tok::EqEq => "`==`".to_string(),
             Tok::Eof => "end of input".to_string(),
+            Tok::Invalid => "invalid token".to_string(),
         }
     }
 }
 
+/// A cursor over the source bytes. ASCII takes a byte-at-a-time fast
+/// path; a `char` is decoded only at a non-ASCII byte, so Unicode
+/// identifiers and whitespace follow the `char` predicates and columns
+/// count characters, not bytes.
 struct Lexer<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
+    src: &'a str,
+    bytes: &'a [u8],
+    /// Byte offset of the cursor; always on a char boundary.
+    at: usize,
     pos: Pos,
 }
 
-impl<'a> Lexer<'a> {
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next()?;
+impl Lexer<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.at).copied()
+    }
+
+    /// The char at the cursor, decoded.
+    fn peek_char(&self) -> Option<char> {
+        self.src[self.at..].chars().next()
+    }
+
+    /// Steps over one ASCII byte other than `\n`.
+    fn bump_ascii(&mut self) {
+        self.at += 1;
+        self.pos.col += 1;
+    }
+
+    /// Steps over one char of any width.
+    fn bump_char(&mut self, c: char) {
+        self.at += c.len_utf8();
         if c == '\n' {
             self.pos.line += 1;
             self.pos.col = 1;
         } else {
             self.pos.col += 1;
         }
-        Some(c)
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
+    /// Length of the run at the cursor up to the first byte in `stop`
+    /// (or the end of input).
+    fn run_until(&self, stop: impl Fn(u8) -> bool) -> usize {
+        let rest = &self.bytes[self.at..];
+        rest.iter().position(|&b| stop(b)).unwrap_or(rest.len())
+    }
+
+    /// Steps over a run of `len` bytes holding no `\n`, one column per
+    /// char (every byte that is not a UTF-8 continuation byte).
+    fn bump_run(&mut self, len: usize) {
+        let run = &self.bytes[self.at..self.at + len];
+        self.pos.col += run.iter().filter(|&&b| b & 0xC0 != 0x80).count();
+        self.at += len;
+    }
+
+    /// Steps over a one-byte token.
+    fn one(&mut self, tok: Tok) -> Tok {
+        self.bump_ascii();
+        tok
+    }
+
+    /// Steps over `one`, or over `two` when `second` follows.
+    fn one_or_two(&mut self, second: u8, one: Tok, two: Tok) -> Tok {
+        self.bump_ascii();
+        if self.peek() == Some(second) {
+            self.bump_ascii();
+            two
+        } else {
+            one
+        }
+    }
+
+    /// Lexes the next token; at the end of input, `Eof`.
+    fn next_token(&mut self) -> Result<(Tok, Span), TextError> {
+        self.skip_trivia();
+        let start = self.pos;
+        let Some(b) = self.peek() else {
+            return Ok((Tok::Eof, Span::at(start)));
+        };
+        let tok = match b {
+            b'{' => self.one(Tok::LBrace),
+            b'}' => self.one(Tok::RBrace),
+            b'[' => self.one(Tok::LBracket),
+            b']' => self.one(Tok::RBracket),
+            b'(' => self.one(Tok::LParen),
+            b')' => self.one(Tok::RParen),
+            b',' => self.one(Tok::Comma),
+            b'+' => self.one(Tok::Plus),
+            b'-' => self.one(Tok::Minus),
+            b'*' => self.one(Tok::Star),
+            b'=' => self.one_or_two(b'=', Tok::Eq, Tok::EqEq),
+            b'<' => self.one_or_two(b'=', Tok::Lt, Tok::Le),
+            b'>' => self.one_or_two(b'=', Tok::Gt, Tok::Ge),
+            b'.' => self.one_or_two(b'.', Tok::Dot, Tok::DotDot),
+            b'"' => lex_string(self)?,
+            b'0'..=b'9' => lex_number(self)?,
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => lex_ident(self),
+            _ => match self.peek_char() {
+                Some(c) if c.is_alphabetic() => lex_ident(self),
+                other => {
+                    let shown = other.unwrap_or(char::REPLACEMENT_CHARACTER);
+                    return Err(TextError::new(
+                        format!("unexpected character `{shown}`"),
+                        Span::at(start),
+                    ));
+                }
+            },
+        };
+        Ok((tok, Span { start, end: self.pos }))
+    }
+
+    /// Skips whitespace and `#` comments.
+    fn skip_trivia(&mut self) {
+        loop {
+            match self.peek() {
+                Some(b'\n') => self.bump_char('\n'),
+                Some(b' ' | b'\t' | b'\r' | 0x0b | 0x0c) => self.bump_ascii(),
+                Some(b'#') => self.bump_run(self.run_until(|b| b == b'\n')),
+                Some(0x80..) => match self.peek_char() {
+                    Some(c) if c.is_whitespace() => self.bump_char(c),
+                    _ => return,
+                },
+                _ => return,
+            }
+        }
     }
 }
 
-fn lex(input: &str) -> Result<Vec<(Tok, Span)>, TextError> {
-    let mut lx = Lexer { chars: input.chars().peekable(), pos: Pos { line: 1, col: 1 } };
-    let mut out = Vec::new();
+/// Lexes an identifier: `_` and alphanumeric chars, first char not a digit.
+fn lex_ident(lx: &mut Lexer<'_>) -> Tok {
+    let begin = lx.at;
     loop {
-        // Skip whitespace and `#` comments.
-        loop {
-            match lx.peek() {
-                Some(c) if c.is_whitespace() => {
-                    lx.bump();
-                }
-                Some('#') => {
-                    while let Some(c) = lx.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        lx.bump();
-                    }
-                }
+        match lx.peek() {
+            Some(b) if b.is_ascii_alphanumeric() || b == b'_' => lx.bump_ascii(),
+            Some(0x80..) => match lx.peek_char() {
+                Some(c) if c.is_alphanumeric() => lx.bump_char(c),
                 _ => break,
-            }
+            },
+            _ => break,
         }
-        let start = lx.pos;
-        let Some(c) = lx.peek() else {
-            out.push((Tok::Eof, Span::at(start)));
-            return Ok(out);
-        };
-        let tok = match c {
-            '{' => {
-                lx.bump();
-                Tok::LBrace
-            }
-            '}' => {
-                lx.bump();
-                Tok::RBrace
-            }
-            '[' => {
-                lx.bump();
-                Tok::LBracket
-            }
-            ']' => {
-                lx.bump();
-                Tok::RBracket
-            }
-            '(' => {
-                lx.bump();
-                Tok::LParen
-            }
-            ')' => {
-                lx.bump();
-                Tok::RParen
-            }
-            ',' => {
-                lx.bump();
-                Tok::Comma
-            }
-            '+' => {
-                lx.bump();
-                Tok::Plus
-            }
-            '-' => {
-                lx.bump();
-                Tok::Minus
-            }
-            '*' => {
-                lx.bump();
-                Tok::Star
-            }
-            '=' => {
-                lx.bump();
-                if lx.peek() == Some('=') {
-                    lx.bump();
-                    Tok::EqEq
-                } else {
-                    Tok::Eq
-                }
-            }
-            '<' => {
-                lx.bump();
-                if lx.peek() == Some('=') {
-                    lx.bump();
-                    Tok::Le
-                } else {
-                    Tok::Lt
-                }
-            }
-            '>' => {
-                lx.bump();
-                if lx.peek() == Some('=') {
-                    lx.bump();
-                    Tok::Ge
-                } else {
-                    Tok::Gt
-                }
-            }
-            '.' => {
-                lx.bump();
-                if lx.peek() == Some('.') {
-                    lx.bump();
-                    Tok::DotDot
-                } else {
-                    Tok::Dot
-                }
-            }
-            '"' => lex_string(&mut lx)?,
-            c if c.is_ascii_digit() => lex_number(&mut lx)?,
-            c if c.is_alphabetic() || c == '_' => {
-                let mut name = String::new();
-                while let Some(c) = lx.peek() {
-                    if c.is_alphanumeric() || c == '_' {
-                        name.push(c);
-                        lx.bump();
-                    } else {
-                        break;
-                    }
-                }
-                Tok::Ident(name)
-            }
-            other => {
-                return Err(TextError::new(
-                    format!("unexpected character `{other}`"),
-                    Span::at(start),
-                ))
-            }
-        };
-        let end = lx.pos;
-        out.push((tok, Span { start, end }));
     }
+    Tok::Ident(lx.src[begin..lx.at].to_string())
 }
 
 fn lex_string(lx: &mut Lexer<'_>) -> Result<Tok, TextError> {
     let open = lx.pos;
-    lx.bump(); // consume the opening quote
+    lx.bump_ascii(); // the opening quote
     let mut value = String::new();
     loop {
+        // Copy the run up to the next quote, backslash or newline whole.
+        let len = lx.run_until(|b| matches!(b, b'"' | b'\\' | b'\n'));
+        value.push_str(&lx.src[lx.at..lx.at + len]);
+        lx.bump_run(len);
         let at = lx.pos;
-        match lx.bump() {
+        match lx.peek() {
             None => {
                 return Err(TextError::new("unterminated string literal", Span::at(open)));
             }
-            Some('"') => return Ok(Tok::Str(value)),
-            Some('\n') => {
+            Some(b'"') => {
+                lx.bump_ascii();
+                return Ok(Tok::Str(value));
+            }
+            Some(b'\n') => {
                 return Err(TextError::new(
                     "newline inside string literal (escape it as \\n)",
                     Span::at(at),
                 ));
             }
-            Some('\\') => match lx.bump() {
-                Some('"') => value.push('"'),
-                Some('\\') => value.push('\\'),
-                Some('n') => value.push('\n'),
-                Some('t') => value.push('\t'),
-                Some('r') => value.push('\r'),
-                other => {
-                    let shown = other.map_or("end of input".to_string(), |c| format!("`\\{c}`"));
-                    return Err(TextError::new(
-                        format!("unknown escape {shown} in string literal"),
-                        Span::at(at),
-                    ));
-                }
-            },
-            Some(c) => value.push(c),
+            _ => {
+                lx.bump_ascii(); // the backslash
+                let c = match lx.peek() {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'n') => '\n',
+                    Some(b't') => '\t',
+                    Some(b'r') => '\r',
+                    _ => {
+                        let shown = lx
+                            .peek_char()
+                            .map_or("end of input".to_string(), |c| format!("`\\{c}`"));
+                        return Err(TextError::new(
+                            format!("unknown escape {shown} in string literal"),
+                            Span::at(at),
+                        ));
+                    }
+                };
+                lx.bump_ascii();
+                value.push(c);
+            }
         }
     }
 }
 
 fn lex_number(lx: &mut Lexer<'_>) -> Result<Tok, TextError> {
     let start = lx.pos;
-    let mut digits = String::new();
-    while let Some(c) = lx.peek() {
-        if c.is_ascii_digit() {
-            digits.push(c);
-            lx.bump();
-        } else {
-            break;
+    let begin = lx.at;
+    let digits = |lx: &mut Lexer<'_>| {
+        while matches!(lx.peek(), Some(b'0'..=b'9')) {
+            lx.bump_ascii();
         }
-    }
+    };
+    digits(lx);
     // `12..15` must lex as Int(12) DotDot Int(15): only treat a `.` as a
     // fraction point when a digit (not another dot) follows.
-    let mut is_float = false;
-    if lx.peek() == Some('.') {
-        let mut ahead = lx.chars.clone();
-        ahead.next();
-        if ahead.peek().is_some_and(|c| c.is_ascii_digit()) {
-            is_float = true;
-            digits.push('.');
-            lx.bump();
-            while let Some(c) = lx.peek() {
-                if c.is_ascii_digit() {
-                    digits.push(c);
-                    lx.bump();
-                } else {
-                    break;
-                }
-            }
-        }
+    let is_float =
+        lx.peek() == Some(b'.') && matches!(lx.bytes.get(lx.at + 1), Some(b'0'..=b'9'));
+    if is_float {
+        lx.bump_ascii();
+        digits(lx);
     }
+    let text = &lx.src[begin..lx.at];
     let span = Span { start, end: lx.pos };
     if is_float {
-        digits
-            .parse::<f64>()
+        text.parse::<f64>()
             .map(Tok::Float)
-            .map_err(|_| TextError::new(format!("invalid number `{digits}`"), span))
+            .map_err(|_| TextError::new(format!("invalid number `{text}`"), span))
     } else {
-        digits
-            .parse::<i64>()
+        text.parse::<i64>()
             .map(Tok::Int)
-            .map_err(|_| TextError::new(format!("integer `{digits}` out of range"), span))
+            .map_err(|_| TextError::new(format!("integer `{text}` out of range"), span))
     }
 }
 
@@ -570,48 +565,76 @@ fn lex_number(lx: &mut Lexer<'_>) -> Result<Tok, TextError> {
 // Parser
 // ---------------------------------------------------------------------------
 
-struct Parser {
-    tokens: Vec<(Tok, Span)>,
-    at: usize,
+/// A recursive-descent parser pulling tokens from the lexer one at a
+/// time: the lookahead token is the only one that exists.
+struct Parser<'a> {
+    lx: Lexer<'a>,
+    /// The lookahead token and its span.
+    tok: Tok,
+    span: Span,
+    /// Why the lookahead is `Tok::Invalid`.
+    lex_error: Option<TextError>,
+    /// Entries of the block bodies still open, innermost last: a body
+    /// collects here and leaves as one exactly-sized `Vec`.
+    items: Vec<Item>,
+    /// Elements of the lists and call argument lists still open, likewise.
+    exprs: Vec<Spanned<Expr>>,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &Tok {
-        &self.tokens[self.at].0
+        &self.tok
     }
 
-    fn peek_span(&self) -> Span {
-        self.tokens[self.at].1
-    }
-
-    fn next(&mut self) -> (Tok, Span) {
-        let pair = self.tokens[self.at].clone();
-        if self.at + 1 < self.tokens.len() {
-            self.at += 1;
+    /// Steps past the lookahead, lexing the next token, and returns the
+    /// lookahead's span. `Eof` and `Invalid` are sticky.
+    fn advance(&mut self) -> Span {
+        let span = self.span;
+        if !matches!(self.tok, Tok::Eof | Tok::Invalid) {
+            match self.lx.next_token() {
+                Ok((tok, next)) => {
+                    self.tok = tok;
+                    self.span = next;
+                }
+                Err(err) => {
+                    self.tok = Tok::Invalid;
+                    self.span = err.span;
+                    self.lex_error = Some(err);
+                }
+            }
         }
-        pair
+        span
     }
 
+    /// Moves the text out of the lookahead identifier or string and
+    /// steps past it, so no token text is ever cloned.
+    fn take_text(&mut self) -> Spanned<String> {
+        let text = match &mut self.tok {
+            Tok::Ident(text) | Tok::Str(text) => std::mem::take(text),
+            _ => String::new(),
+        };
+        Spanned::new(text, self.advance())
+    }
+
+    /// The error for a lookahead the grammar cannot take here: the lexer's
+    /// own error if the text did not lex.
     fn error_here(&self, expected: &str) -> TextError {
-        TextError::new(
-            format!("expected {expected}, found {}", self.peek().describe()),
-            self.peek_span(),
-        )
+        if let Some(err) = &self.lex_error {
+            return err.clone();
+        }
+        TextError::new(format!("expected {expected}, found {}", self.tok.describe()), self.span)
     }
 
     fn expect_ident(&mut self, what: &str) -> Result<Spanned<String>, TextError> {
-        match self.peek().clone() {
-            Tok::Ident(name) => {
-                let span = self.next().1;
-                Ok(Spanned::new(name, span))
-            }
+        match self.peek() {
+            Tok::Ident(_) => Ok(self.take_text()),
             _ => Err(self.error_here(what)),
         }
     }
 
     fn expect(&mut self, tok: Tok, what: &str) -> Result<Span, TextError> {
         if *self.peek() == tok {
-            Ok(self.next().1)
+            Ok(self.advance())
         } else {
             Err(self.error_here(what))
         }
@@ -633,29 +656,30 @@ impl Parser {
     /// Parses labels and the braced body after a block keyword.
     fn block_tail(&mut self, keyword: Spanned<String>) -> Result<Block, TextError> {
         let mut labels = Vec::new();
-        while let Tok::Str(label) = self.peek().clone() {
-            let span = self.next().1;
-            labels.push(Spanned::new(label, span));
+        while let Tok::Str(_) = self.peek() {
+            labels.push(self.take_text());
         }
         self.expect(Tok::LBrace, "`{`")?;
-        let mut body = Vec::new();
+        let mark = self.items.len();
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::RBrace => {
-                    let close = self.next().1;
+                    let close = self.advance();
                     let span = keyword.span.to(close);
+                    let body = self.items.drain(mark..).collect();
                     return Ok(Block { keyword, labels, body, span });
                 }
                 Tok::Ident(_) => {
-                    let key = self.expect_ident("a key")?;
+                    let key = self.take_text();
                     match self.peek() {
                         Tok::Eq => {
-                            self.next();
+                            self.advance();
                             let value = self.expr()?;
-                            body.push(Item::Attr(Attr { key, value }));
+                            self.items.push(Item::Attr(Attr { key, value }));
                         }
                         Tok::Str(_) | Tok::LBrace => {
-                            body.push(Item::Block(self.block_tail(key)?));
+                            let block = self.block_tail(key)?;
+                            self.items.push(Item::Block(block));
                         }
                         _ => {
                             return Err(self.error_here(
@@ -685,7 +709,7 @@ impl Parser {
             Tok::EqEq => BinOp::EqEq,
             _ => return Ok(lhs),
         };
-        self.next();
+        self.advance();
         let rhs = self.sum()?;
         let span = lhs.span.to(rhs.span);
         Ok(Spanned::new(Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }, span))
@@ -694,7 +718,7 @@ impl Parser {
     fn sum(&mut self) -> Result<Spanned<Expr>, TextError> {
         let mut lhs = self.product()?;
         while *self.peek() == Tok::Plus {
-            self.next();
+            self.advance();
             let rhs = self.product()?;
             let span = lhs.span.to(rhs.span);
             lhs = Spanned::new(
@@ -708,7 +732,7 @@ impl Parser {
     fn product(&mut self) -> Result<Spanned<Expr>, TextError> {
         let mut lhs = self.primary()?;
         while *self.peek() == Tok::Star {
-            self.next();
+            self.advance();
             let rhs = self.primary()?;
             let span = lhs.span.to(rhs.span);
             lhs = Spanned::new(
@@ -720,19 +744,19 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Spanned<Expr>, TextError> {
-        match self.peek().clone() {
-            Tok::Str(value) => {
-                let span = self.next().1;
-                Ok(Spanned::new(Expr::Str(value), span))
+        match *self.peek() {
+            Tok::Str(_) => {
+                let text = self.take_text();
+                Ok(Spanned::new(Expr::Str(text.value), text.span))
             }
             Tok::Int(value) => {
-                let span = self.next().1;
+                let span = self.advance();
                 // `lo..hi` ranges attach to integer literals.
                 if *self.peek() == Tok::DotDot {
-                    self.next();
-                    match self.peek().clone() {
+                    self.advance();
+                    match *self.peek() {
                         Tok::Int(hi) => {
-                            let end = self.next().1;
+                            let end = self.advance();
                             Ok(Spanned::new(Expr::Range(value, hi), span.to(end)))
                         }
                         _ => Err(self.error_here("an integer after `..`")),
@@ -742,35 +766,37 @@ impl Parser {
                 }
             }
             Tok::Float(value) => {
-                let span = self.next().1;
+                let span = self.advance();
                 Ok(Spanned::new(Expr::Float(value), span))
             }
             Tok::Minus => {
-                let start = self.next().1;
-                match self.peek().clone() {
+                let start = self.advance();
+                match *self.peek() {
                     Tok::Int(value) => {
-                        let end = self.next().1;
+                        let end = self.advance();
                         Ok(Spanned::new(Expr::Int(-value), start.to(end)))
                     }
                     Tok::Float(value) => {
-                        let end = self.next().1;
+                        let end = self.advance();
                         Ok(Spanned::new(Expr::Float(-value), start.to(end)))
                     }
                     _ => Err(self.error_here("a number after `-`")),
                 }
             }
             Tok::LBracket => {
-                let open = self.next().1;
-                let mut items = Vec::new();
+                let open = self.advance();
+                let mark = self.exprs.len();
                 loop {
                     if *self.peek() == Tok::RBracket {
-                        let close = self.next().1;
+                        let close = self.advance();
+                        let items = self.exprs.drain(mark..).collect();
                         return Ok(Spanned::new(Expr::List(items), open.to(close)));
                     }
-                    items.push(self.expr()?);
+                    let item = self.expr()?;
+                    self.exprs.push(item);
                     match self.peek() {
                         Tok::Comma => {
-                            self.next();
+                            self.advance();
                         }
                         Tok::RBracket => {}
                         _ => return Err(self.error_here("`,` or `]`")),
@@ -778,36 +804,39 @@ impl Parser {
                 }
             }
             Tok::LParen => {
-                self.next();
+                self.advance();
                 let inner = self.expr()?;
                 self.expect(Tok::RParen, "`)`")?;
                 Ok(inner)
             }
-            Tok::Ident(first) => {
-                let start = self.next().1;
+            Tok::Ident(_) => {
+                let first = self.take_text();
+                let start = first.span;
                 let mut end = start;
-                let mut path = vec![first];
+                let mut path = vec![first.value];
                 while *self.peek() == Tok::Dot {
-                    self.next();
+                    self.advance();
                     let seg = self.expect_ident("an identifier after `.`")?;
                     end = seg.span;
                     path.push(seg.value);
                 }
                 if *self.peek() == Tok::LParen {
-                    self.next();
-                    let mut args = Vec::new();
+                    self.advance();
+                    let mark = self.exprs.len();
                     loop {
                         if *self.peek() == Tok::RParen {
-                            let close = self.next().1;
+                            let close = self.advance();
+                            let args = self.exprs.drain(mark..).collect();
                             return Ok(Spanned::new(
                                 Expr::Call { path, args },
                                 start.to(close),
                             ));
                         }
-                        args.push(self.expr()?);
+                        let arg = self.expr()?;
+                        self.exprs.push(arg);
                         match self.peek() {
                             Tok::Comma => {
-                                self.next();
+                                self.advance();
                             }
                             Tok::RParen => {}
                             _ => return Err(self.error_here("`,` or `)`")),
@@ -952,6 +981,44 @@ mod tests {
         let err = parse("system \"X\" {\n  category = !\n}").unwrap_err();
         assert_eq!(err.span.start.line, 2);
         assert_eq!(err.span.start.col, 14);
+    }
+
+    #[test]
+    fn unicode_identifiers_are_accepted() {
+        let doc = parse_ok("b { café = 1\n  naïve_2 = größe }");
+        let b = &doc.blocks[0];
+        assert_eq!(b.attr("café").unwrap().value.value, Expr::Int(1));
+        assert_eq!(b.attr("naïve_2").unwrap().value.value, Expr::Path(vec!["größe".into()]));
+    }
+
+    #[test]
+    fn no_break_space_is_whitespace() {
+        let doc = parse_ok("b\u{a0}{\u{a0}x\u{a0}=\u{a0}1\u{a0}}");
+        assert_eq!(doc.blocks[0].attr("x").unwrap().value.value, Expr::Int(1));
+    }
+
+    #[test]
+    fn crlf_line_ends_work() {
+        let doc = parse_ok("b {\r\n  x = 1\r\n  y = \"s\"\r\n}\r\n");
+        assert_eq!(doc.blocks[0].attr("y").unwrap().value.value, Expr::Str("s".into()));
+        let err = parse("b {\r\n  x = !\r\n}").unwrap_err();
+        assert_eq!(err.span.start.to_string(), "2:7");
+    }
+
+    #[test]
+    fn non_ascii_comments_are_skipped() {
+        let doc = parse_ok("# größe → ü\nb { x = 1 } # ünïcödé ✓\n# 末尾");
+        assert_eq!(doc.blocks.len(), 1);
+        let err = parse("# ü\n# → x\nb { x = ! }").unwrap_err();
+        assert_eq!(err.span.start.to_string(), "3:9");
+    }
+
+    #[test]
+    fn error_columns_count_characters_not_bytes() {
+        let err = parse("system \"ü\" { a = ! }").unwrap_err();
+        assert_eq!(err.span.start.to_string(), "1:18");
+        let err = parse("b { s = \"→→\" t = 1..x }").unwrap_err();
+        assert_eq!(err.span.start.to_string(), "1:21");
     }
 
     #[test]

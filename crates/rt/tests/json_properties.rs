@@ -151,4 +151,27 @@ fn large_integers_roundtrip_through_text() {
         let text = json::to_string(&n);
         assert_eq!(json::from_str::<u64>(&text).unwrap(), n, "{n}");
     }
+    for n in [-((1i64 << 53) - 1), -1, i64::from(i32::MIN)] {
+        assert_eq!(json::from_str::<i64>(&json::to_string(&n)).unwrap(), n, "{n}");
+    }
+    // Past 2^53 an `f64` no longer holds every integer. The text is still
+    // written exactly, and reading it back is refused, never rounded or
+    // saturated.
+    for n in [1u64 << 53, (1 << 53) + 1, 9_007_199_254_740_993, 1 << 60, u64::MAX] {
+        let text = json::to_string(&n);
+        assert_eq!(text, n.to_string(), "emitted inexactly");
+        let err = json::from_str::<u64>(&text).expect_err(&text).to_string();
+        assert!(err.contains("out of range for u64") && err.len() < 100, "{text}: {err}");
+    }
+    for n in [-(1i64 << 53) - 1, i64::MIN] {
+        let text = json::to_string(&n);
+        assert_eq!(text, n.to_string(), "emitted inexactly");
+        assert!(json::from_str::<i64>(&text).is_err(), "{text} read back");
+    }
+    for text in ["18446744073709551616", "1e300", "-1e300"] {
+        let err = json::from_str::<u64>(text).expect_err(text).to_string();
+        assert!(err.len() < 100, "{text}: error is not short: {err}");
+        assert_eq!(json::parse(text).unwrap().as_u64(), None, "{text} saturated");
+    }
+    assert!(json::from_str::<u8>("256").unwrap_err().to_string().contains("out of range for u8"));
 }

@@ -58,8 +58,12 @@ fn regression_factor() -> f64 {
 
 /// `(area, key)` pairs where CI reruns the identical full workload, so
 /// candidate wall time may be compared to the committed wall time.
-const TIMED_METRICS: [(&str, &str); 2] =
-    [("incremental", "session_ms"), ("parse", "load_ms")];
+const TIMED_METRICS: [(&str, &str); 4] = [
+    ("incremental", "session_ms"),
+    ("parse", "load_ms"),
+    ("parse", "json_ms"),
+    ("parse", "fingerprint_ms"),
+];
 
 #[test]
 fn committed_trajectory_metrics_are_sane() {

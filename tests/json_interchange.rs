@@ -94,3 +94,28 @@ fn design_json_is_stable_for_tool_consumers() {
     let back: Design = netarch_rt::json::FromJson::from_json(&json).unwrap();
     assert_eq!(&back, design);
 }
+
+/// 64-bit FNV-1a, enough to pin a byte stream in a test.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn digest(text: &str) -> (usize, u64) {
+    (text.len(), fnv64(text.as_bytes()))
+}
+
+#[test]
+fn case_study_json_bytes_are_pinned() {
+    // Length and FNV-1a digest of the canonical text, recorded from the
+    // serializer that built a `Json` tree and then dumped it. The
+    // streaming emitter must reproduce those bytes exactly: fingerprints,
+    // committed result files and golden manifests all hash this text.
+    let compact = netarch_rt::json::to_string(&case_study::scenario());
+    let lowered = netarch_rt::json::to_string(&netarch::corpus::narch::case_study_scenario());
+    let pretty = netarch::corpus::catalog_json();
+    assert_eq!(digest(&compact), (89_328, 7_562_041_606_841_610_377));
+    assert_eq!(digest(&lowered), digest(&compact), "the .narch corpus lowers to the case study");
+    assert_eq!(digest(&pretty), (141_986, 18_274_193_012_661_274_018));
+}
