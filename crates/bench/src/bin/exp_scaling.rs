@@ -88,8 +88,8 @@ fn main() {
 
     section("E10: solve time vs scenario scale (§3.4 tractability)");
     println!(
-        "  {:>8} {:>10} {:>14} {:>14} {:>9} {:>7} {:>7}",
-        "systems", "hardware", "check-time", "optimize-time", "subsumed", "elim", "vivify"
+        "  {:>8} {:>10} {:>14} {:>14}",
+        "systems", "hardware", "check-time", "optimize-time"
     );
     for (n_sys, n_hw) in [(20usize, 20usize), (40, 60), (70, 110)] {
         let catalog = subset_catalog(n_sys, n_hw);
@@ -105,11 +105,7 @@ fn main() {
         let t1 = std::time::Instant::now();
         let _ = engine.optimize().expect("runs");
         let optimize = t1.elapsed();
-        let stats = engine.stats();
-        println!(
-            "  {n_sys:>8} {n_hw:>10} {check:>14.2?} {optimize:>14.2?} {:>9} {:>7} {:>7}",
-            stats.subsumed, stats.eliminated_vars, stats.vivified
-        );
+        println!("  {n_sys:>8} {n_hw:>10} {check:>14.2?} {optimize:>14.2?}");
     }
     // Machine-readable summary for downstream tooling; the smoke test
     // parses this line back to validate the interchange format.

@@ -58,8 +58,8 @@ pub struct CompileStats {
     /// Total solver variables (atoms + auxiliaries) after the compile (a
     /// compile-time snapshot; see `live_vars`).
     pub solver_vars: usize,
-    /// Variables the session solver can still decide: not eliminated, not
-    /// released and not fixed at the root.
+    /// Variables the session solver can still decide: not released and
+    /// not fixed at the root.
     pub live_vars: usize,
     /// Clauses (original and learnt) the session solver holds now.
     pub live_clauses: usize,
@@ -82,16 +82,6 @@ pub struct CompileStats {
     /// state a serving layer preserves when it caches compiled scenarios
     /// and routes repeat traffic back to a warm session.
     pub learnt_clauses: u64,
-    /// Clauses deleted by inprocessing subsumption in the session solver.
-    pub subsumed: u64,
-    /// Clauses strengthened by self-subsumption resolution.
-    pub strengthened: u64,
-    /// Variables removed by bounded variable elimination. Frozen variables
-    /// (atoms, selectors, cardinality structure) are never counted here —
-    /// a nonzero value only ever reflects eliminable Tseitin auxiliaries.
-    pub eliminated_vars: u64,
-    /// Clauses shortened by vivification probes.
-    pub vivified: u64,
     /// Conflicts resolved by chronological backtracking.
     pub chrono_backtracks: u64,
 }
@@ -110,10 +100,6 @@ netarch_rt::impl_json_struct!(CompileStats {
     retired_activations,
     conflicts,
     learnt_clauses,
-    subsumed,
-    strengthened,
-    eliminated_vars,
-    vivified,
     chrono_backtracks,
 });
 

@@ -106,6 +106,9 @@ pub struct OptimizedDesign {
     pub levels: Vec<LevelReport>,
 }
 
+/// Enumerated design classes, and whether the limit truncated the list.
+type Classes = (Vec<Design>, bool);
+
 /// The reasoning engine over one scenario: a persistent incremental
 /// solving session shared by every query.
 pub struct Engine {
@@ -117,8 +120,9 @@ pub struct Engine {
     /// call, replayed on every later one.
     optimize_cache: Option<Result<OptimizedDesign, Diagnosis>>,
     /// Memoized enumerations, keyed by `(limit, include_hardware)` — pure
-    /// for the same reason `optimize` is.
-    enumerate_cache: Vec<((usize, bool), Vec<Design>)>,
+    /// for the same reason `optimize` is — with whether the limit cut the
+    /// class list short.
+    enumerate_cache: Vec<((usize, bool), Classes)>,
     /// Capacity-mode side compilations, keyed by fleet bound in LRU order
     /// (most recent first, capped at [`CAPACITY_CACHE_CAP`]). Alternating
     /// bounds each keep their warm session; only a bound absent from the
@@ -170,24 +174,9 @@ impl Engine {
             retired_activations: total.retired_activations,
             conflicts: total.conflicts,
             learnt_clauses: total.learnt_clauses,
-            subsumed: total.subsumed,
-            strengthened: total.strengthened,
-            eliminated_vars: total.eliminated_vars,
-            vivified: total.vivified,
             chrono_backtracks: total.chrono_backtracks,
             ..self.compiled.stats
         }
-    }
-
-    /// Forces one inprocessing round (subsumption, vivification, bounded
-    /// variable elimination) on the persistent session solver — the
-    /// compaction a serving layer can run on warm cached sessions between
-    /// queries. The encoder freezes every variable future queries can
-    /// mention, so subsequent queries answer on the same compilation with
-    /// zero recompiles. Returns `false` when the session's constraints are
-    /// unsatisfiable outright.
-    pub fn inprocess_session(&mut self) -> bool {
-        self.compiled.encoder.inprocess()
     }
 
     /// Retires a query's activation literal, dissolving its gated clauses,
@@ -342,8 +331,22 @@ impl Engine {
         limit: usize,
         include_hardware: bool,
     ) -> Result<Vec<Design>, CompileError> {
+        Ok(self.enumerate_classes(limit, include_hardware)?.0)
+    }
+
+    /// [`Engine::enumerate_designs`], plus whether the limit truncated the
+    /// class list: once `limit` classes are found, one more solve under
+    /// the same gate asks for another, and only a proof that none exists
+    /// (UNSAT) reports the list as exhaustive. An inconclusive solve counts
+    /// as truncation, as in `netarch_sat::enumerate::enumerate_projected`.
+    /// A zero limit examines nothing and reports truncation.
+    fn enumerate_classes(
+        &mut self,
+        limit: usize,
+        include_hardware: bool,
+    ) -> Result<Classes, CompileError> {
         if limit == 0 {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), true));
         }
         if let Some((_, cached)) = self
             .enumerate_cache
@@ -364,9 +367,12 @@ impl Engine {
             .map(|&a| self.compiled.encoder.atom_lit(a))
             .collect();
         let mut designs = Vec::new();
-        while designs.len() < limit {
-            if self.compiled.encoder.solve_with(&assumptions) != SolveResult::Sat {
-                break;
+        let truncated = loop {
+            match self.compiled.encoder.solve_with(&assumptions) {
+                SolveResult::Sat if designs.len() == limit => break true,
+                SolveResult::Sat => {}
+                SolveResult::Unsat => break false,
+                SolveResult::Unknown => break true,
             }
             // Extract the design from the full model, then block this
             // *projected* assignment so the next model is a new
@@ -382,10 +388,11 @@ impl Engine {
                 }
             }));
             netarch_logic::ClauseSink::add_clause(&mut self.compiled.encoder, &blocking);
-        }
+        };
         self.end_query(gate);
-        self.enumerate_cache.push(((limit, include_hardware), designs.clone()));
-        Ok(designs)
+        self.enumerate_cache
+            .push(((limit, include_hardware), (designs.clone(), truncated)));
+        Ok((designs, truncated))
     }
 
     /// Solves with only the named rule groups active (all other compiled
@@ -408,8 +415,7 @@ impl Engine {
         &mut self,
         limit: usize,
     ) -> Result<crate::disambiguate::Disambiguation, CompileError> {
-        let designs = self.enumerate_designs(limit, false)?;
-        let truncated = designs.len() == limit;
+        let (designs, truncated) = self.enumerate_classes(limit, false)?;
         Ok(crate::disambiguate::plan_questions(&designs, truncated))
     }
 
@@ -847,6 +853,21 @@ mod tests {
         // SIMON only with NIC_TS → 3 classes.
         let designs = engine.enumerate_designs(16, true).unwrap();
         assert_eq!(designs.len(), 3, "{designs:?}");
+    }
+
+    #[test]
+    fn disambiguate_reports_truncation_only_when_classes_remain() {
+        let mut engine = Engine::new(test_scenario()).unwrap();
+        let all = engine.enumerate_designs(16, false).unwrap().len();
+        assert!(all > 1, "the scenario needs several classes");
+        // A limit equal to the class count exhausts the space: the plan
+        // covers every class and is not a lower bound.
+        let exact = engine.disambiguate(all).unwrap();
+        assert_eq!(exact.classes, all);
+        assert!(!exact.truncated, "{all} of {all} classes reported as truncated");
+        let short = engine.disambiguate(all - 1).unwrap();
+        assert_eq!(short.classes, all - 1);
+        assert!(short.truncated);
     }
 
     #[test]

@@ -271,85 +271,6 @@ fn interleaved_session_queries_match_fresh_engines() {
     prop::check(&Config::with_cases(48), gen_seed, session_agrees_with_fresh_engines);
 }
 
-/// Frozen-variable regression for solver inprocessing: a session that runs
-/// a full inprocessing round (subsumption, vivification, bounded variable
-/// elimination) between queries must keep answering identically to fresh
-/// engines, on the original compilation, with zero recompiles. The encoder
-/// freezes every atom, selector, and cardinality-structure variable, so
-/// BVE may only eliminate single-assertion Tseitin auxiliaries — if that
-/// contract broke, the next gated assertion or assumption would panic or
-/// silently diverge, and this test would catch either.
-#[test]
-fn session_answers_identically_after_forced_inprocessing() {
-    let seed = Seed {
-        systems_per_category: vec![2, 2, 2],
-        feature_mask: 0b0101,
-        conflict_mask: 0b0010,
-        nic_features: [true, false],
-        needs_mask: 0b011,
-        pins_mask: 0,
-        required_roles: 0b001,
-        ops: vec![0, 1, 2, 3, 0, 1, 2], // check, optimize, enumerate, subset, …
-    };
-    let scenario = build_scenario(&seed);
-    let mut session = Engine::new(scenario.clone()).expect("compiles");
-    let pool = label_pool(&scenario);
-    for &byte in &seed.ops {
-        // Inprocess *before* every query: any variable the next query still
-        // needs must have survived.
-        assert!(session.inprocess_session(), "session root became inconsistent");
-        let mut fresh = Engine::new(scenario.clone()).expect("compiles");
-        match decode(byte) {
-            Op::Check => {
-                let a = session.check().expect("runs");
-                let b = fresh.check().expect("runs");
-                assert_eq!(a.design().is_some(), b.design().is_some());
-            }
-            Op::Optimize => {
-                let a = session.optimize().expect("runs");
-                let b = fresh.optimize().expect("runs");
-                match (a, b) {
-                    (Ok(ra), Ok(rb)) => {
-                        let pa: Vec<u64> = ra.levels.iter().map(|l| l.penalty).collect();
-                        let pb: Vec<u64> = rb.levels.iter().map(|l| l.penalty).collect();
-                        assert_eq!(pa, pb, "optimal penalties diverged after inprocessing");
-                    }
-                    (Err(_), Err(_)) => {}
-                    (a, b) => panic!(
-                        "optimize feasibility diverged: session ok={} fresh ok={}",
-                        a.is_ok(),
-                        b.is_ok()
-                    ),
-                }
-            }
-            Op::Enumerate(limit) => {
-                let a = session.enumerate_designs(limit, false).expect("runs");
-                let b = fresh.enumerate_designs(limit, false).expect("runs");
-                assert_eq!(a.len(), b.len(), "class count diverged after inprocessing");
-                if a.len() < limit {
-                    // Both exhaustive: the class sets must coincide.
-                    assert_eq!(fingerprints(&a), fingerprints(&b));
-                }
-            }
-            Op::Subset(mask) => {
-                let labels: Vec<&str> = pool
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| (mask >> (i % 8)) & 1 == 1)
-                    .map(|(_, l)| l.as_str())
-                    .collect();
-                assert_eq!(
-                    session.check_rule_subset(&labels).expect("runs"),
-                    fresh.check_rule_subset(&labels).expect("runs"),
-                );
-            }
-        }
-    }
-    let stats = session.stats();
-    assert_eq!(stats.recompiles, 0, "inprocessing forced a session recompile");
-    assert!(stats.session_solves > 0);
-}
-
 /// Deterministic spot-check of the acceptance interleaving:
 /// check → optimize → enumerate → check on one session, zero recompiles.
 #[test]

@@ -88,16 +88,6 @@ impl Encoder {
         *self.solver.stats()
     }
 
-    /// Forces one inprocessing round (subsumption, vivification, bounded
-    /// variable elimination) on the session solver. Every variable the
-    /// encoder allocates for atoms, selectors, or cardinality structure is
-    /// frozen, so elimination only ever touches single-assertion Tseitin
-    /// auxiliaries and later assertions/assumptions stay valid. Returns
-    /// `false` when the instance is proved unsatisfiable at the root.
-    pub fn inprocess(&mut self) -> bool {
-        self.solver.inprocess()
-    }
-
     /// Number of auxiliary (Tseitin/cardinality) variables created.
     pub fn aux_var_count(&self) -> usize {
         self.aux_vars
@@ -106,19 +96,6 @@ impl Encoder {
     /// Number of clauses asserted through this encoder.
     pub fn clause_count(&self) -> usize {
         self.asserted_clauses
-    }
-
-    /// Allocates a solver variable that future clauses or assumptions may
-    /// reference, and freezes it so solver inprocessing (bounded variable
-    /// elimination) can never remove it — the freeze contract between the
-    /// incremental session layer and the solver (see `Solver::freeze_var`).
-    /// Atom variables, the global true literal, group selectors, and
-    /// cardinality/integer structure variables all go through here; only
-    /// single-assertion Tseitin definitions stay eliminable.
-    fn alloc_frozen_var(&mut self) -> Var {
-        let v = self.solver.new_var();
-        self.solver.freeze_var(v);
-        v
     }
 
     /// The solver variable backing `atom`, allocated on first use.
@@ -130,7 +107,7 @@ impl Encoder {
         match self.atom_vars[idx] {
             Some(v) => v,
             None => {
-                let v = self.alloc_frozen_var();
+                let v = self.solver.new_var();
                 self.atom_vars[idx] = Some(v);
                 v
             }
@@ -147,7 +124,7 @@ impl Encoder {
         match self.true_lit {
             Some(l) => l,
             None => {
-                let l = self.alloc_frozen_var().positive();
+                let l = self.solver.new_var().positive();
                 // The defining unit is global truth: it must hold even when
                 // allocated inside a gated scope, so it bypasses the gate.
                 self.add_clause_raw(&[l]);
@@ -281,9 +258,7 @@ impl Encoder {
     /// Allocates a fresh selector literal for assertion grouping.
     pub fn new_selector(&mut self) -> Lit {
         self.aux_vars += 1;
-        // Selectors become assumptions and retirement units later, so they
-        // must survive inprocessing even before their first solve.
-        self.alloc_frozen_var().positive()
+        self.solver.new_var().positive()
     }
 
     /// Permanently retires a selector/activation literal by asserting its
@@ -488,10 +463,7 @@ impl Encoder {
 impl ClauseSink for Encoder {
     fn fresh_var(&mut self) -> Var {
         self.aux_vars += 1;
-        // Cardinality/integer structure variables are constrained again by
-        // later incremental assertions (e.g. `OrderInt::assert_le` after
-        // construction), so they are frozen like atoms and selectors.
-        self.alloc_frozen_var()
+        self.solver.new_var()
     }
 
     fn add_clause(&mut self, lits: &[Lit]) {

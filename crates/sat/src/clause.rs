@@ -31,19 +31,6 @@ struct ClauseHeader {
     lbd: u32,
     /// Bump-based activity used to rank learnt clauses for deletion.
     activity: f64,
-    /// 64-bit variable-set signature: bit `v % 64` is set for every variable
-    /// in the clause. `C ⊆ D` implies `abstraction(C) & !abstraction(D) == 0`,
-    /// so the inprocessing subsumption passes use it as a constant-time
-    /// prefilter before the literal-level subset check. Variable-based (not
-    /// literal-based) so the same signature also prefilters
-    /// self-subsumption, where one literal appears with its sign flipped.
-    abstraction: u64,
-}
-
-/// Computes the variable-set signature used for subsumption prefiltering.
-pub fn compute_abstraction(lits: &[Lit]) -> u64 {
-    lits.iter()
-        .fold(0u64, |acc, l| acc | 1u64 << (l.var().index() & 63))
 }
 
 /// Arena of clauses with tombstone deletion and explicit compaction.
@@ -80,9 +67,8 @@ impl ClauseDb {
             deleted: false,
             lbd: lits.len() as u32,
             activity: 0.0,
-            abstraction: compute_abstraction(lits),
         };
-        self.headers.push(ClauseHeader { ..header });
+        self.headers.push(header);
         if learnt {
             self.num_learnt += 1;
         } else {
@@ -152,13 +138,6 @@ impl ClauseDb {
         }
     }
 
-    /// Returns the clause's variable-set signature for subsumption
-    /// prefiltering (see [`compute_abstraction`]).
-    #[inline]
-    pub fn abstraction(&self, cref: ClauseRef) -> u64 {
-        self.headers[cref.0 as usize].abstraction
-    }
-
     /// Shrinks a clause in place to `new_lits` (a strengthening: the new
     /// literal set must be a subset of the old one, and still ≥ 2 literals).
     ///
@@ -176,23 +155,7 @@ impl ClauseDb {
         self.lits[start..start + new_lits.len()].copy_from_slice(new_lits);
         let h = &mut self.headers[cref.0 as usize];
         h.len = new_lits.len() as u32;
-        h.abstraction = compute_abstraction(new_lits);
         self.wasted += old_len - new_lits.len();
-    }
-
-    /// Promotes a learnt clause to an original (irredundant) clause.
-    ///
-    /// Used when a learnt clause subsumes an original one: the original may
-    /// only be deleted if its subsumer is immune to learnt-clause reduction,
-    /// otherwise a later `reduce_db` could silently drop the last witness of
-    /// an original constraint.
-    pub fn make_original(&mut self, cref: ClauseRef) {
-        let h = &mut self.headers[cref.0 as usize];
-        if h.learnt && !h.deleted {
-            h.learnt = false;
-            self.num_learnt -= 1;
-            self.num_original += 1;
-        }
     }
 
     /// Tombstones a clause. The reference remains valid but inert.
@@ -342,47 +305,17 @@ mod tests {
     }
 
     #[test]
-    fn abstraction_is_subset_prefilter() {
-        let mut db = ClauseDb::new();
-        let c = db.add(&[lit(0, true), lit(2, false)], false);
-        let d = db.add(&[lit(0, true), lit(1, true), lit(2, false)], false);
-        // C ⊆ D (as variable sets) ⇒ abst(C) & !abst(D) == 0.
-        assert_eq!(db.abstraction(c) & !db.abstraction(d), 0);
-        // D ⊄ C: bit for var 1 survives.
-        assert_ne!(db.abstraction(d) & !db.abstraction(c), 0);
-        // Sign-insensitive: flipping polarity keeps the same signature.
-        assert_eq!(
-            compute_abstraction(&[lit(0, true)]),
-            compute_abstraction(&[lit(0, false)])
-        );
-    }
-
-    #[test]
-    fn shrink_updates_len_abstraction_and_waste() {
+    fn shrink_updates_len_and_waste() {
         let mut db = ClauseDb::new();
         let c = db.add(&[lit(0, true), lit(1, true), lit(2, true)], false);
         assert!(!db.should_compact());
         db.shrink(c, &[lit(0, true), lit(2, true)]);
         assert_eq!(db.lits(c), &[lit(0, true), lit(2, true)]);
-        assert_eq!(db.abstraction(c), compute_abstraction(&[lit(0, true), lit(2, true)]));
         // One of three slots is now wasted; compaction threshold is 4:1.
         assert!(db.should_compact());
         let remap = db.compact();
         let c = remap[c.0 as usize].unwrap();
         assert_eq!(db.lits(c), &[lit(0, true), lit(2, true)]);
-    }
-
-    #[test]
-    fn make_original_promotes_learnt() {
-        let mut db = ClauseDb::new();
-        let c = db.add(&[lit(0, true), lit(1, true)], true);
-        assert_eq!(db.num_learnt(), 1);
-        db.make_original(c);
-        assert!(!db.is_learnt(c));
-        assert_eq!(db.num_learnt(), 0);
-        assert_eq!(db.num_original(), 1);
-        db.make_original(c); // idempotent
-        assert_eq!(db.num_original(), 1);
     }
 
     #[test]

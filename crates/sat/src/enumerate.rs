@@ -37,36 +37,6 @@ pub fn enumerate_projected(
     } else {
         projection.to_vec()
     };
-    // Blocking clauses mention the projection variables on every iteration,
-    // so they must be exempt from variable elimination while the run lasts
-    // (the freeze contract — see `Solver::freeze_var`). The pin is
-    // temporary: variables frozen *here* are thawed again on every exit
-    // path, so enumeration does not exempt them from elimination for the
-    // rest of an incremental session. Variables that were already frozen —
-    // or that appear in the assumptions, which `solve_with` freezes
-    // permanently — stay pinned.
-    let newly_frozen: Vec<Var> = project_all
-        .iter()
-        .copied()
-        .filter(|&v| !solver.is_frozen(v) && !assumptions.iter().any(|l| l.var() == v))
-        .collect();
-    for &v in &project_all {
-        solver.freeze_var(v);
-    }
-    let enumeration = enumerate_pinned(solver, &project_all, assumptions, limit);
-    for &v in &newly_frozen {
-        solver.thaw_var(v);
-    }
-    enumeration
-}
-
-/// The enumeration loop proper, with the projection already frozen.
-fn enumerate_pinned(
-    solver: &mut Solver,
-    project_all: &[Var],
-    assumptions: &[Lit],
-    limit: usize,
-) -> Enumeration {
     let mut models = Vec::new();
     let mut truncated = false;
     while models.len() < limit {
@@ -220,22 +190,5 @@ mod tests {
             e.truncated,
             "an inconclusive final probe must not claim the space was exhausted"
         );
-    }
-
-    #[test]
-    fn enumeration_thaws_what_it_froze() {
-        let mut s = Solver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        let pinned = s.new_var();
-        s.freeze_var(pinned);
-        s.add_clause([a.positive(), b.positive(), pinned.positive()]);
-        let e = enumerate_projected(&mut s, &[a, pinned], &[b.positive()], 10);
-        assert!(!e.models.is_empty());
-        // The temporary projection pin is released; pre-existing freezes
-        // (and the assumption-frozen variable) survive.
-        assert!(!s.is_frozen(a), "projection freeze must be balanced by a thaw");
-        assert!(s.is_frozen(pinned), "caller freezes outlive the enumeration");
-        assert!(s.is_frozen(b), "assumption freezes are permanent");
     }
 }

@@ -15,8 +15,8 @@
 //! - model enumeration (optionally projected onto a variable subset),
 //! - DRAT proof logging ([`proof`]) with an independent counter-based
 //!   RUP/DRAT checker ([`checker`]) so UNSAT verdicts are certifiable,
-//! - certified restart-boundary inprocessing (subsumption, vivification,
-//!   bounded variable elimination) under a variable-freeze contract,
+//! - chronological backtracking for conflicts whose backjump would discard
+//!   many decision levels,
 //! - scoped encodings: [`Solver::mark`] / [`Solver::release_since`] give a
 //!   per-query encoding's variables back to the session,
 //! - DIMACS CNF I/O,

@@ -8,16 +8,8 @@
 //! (a subset of the assumptions), which the upper layers use for MUS
 //! extraction and architecture-design diagnosis.
 //!
-//! At restart boundaries the solver additionally runs certified
-//! *inprocessing* (see the `simplify` submodule): subsumption and
-//! self-subsumption over occurrence lists, clause vivification, and bounded
-//! variable elimination under a freeze set, with every derived or deleted
-//! clause logged to the DRAT proof. Conflicts whose backjump would discard
-//! many levels can instead backtrack chronologically by a single level
-//! (`SolverConfig::chrono_threshold`).
-
-#[path = "simplify.rs"]
-mod simplify;
+//! Conflicts whose backjump would discard many levels can instead backtrack
+//! chronologically by a single level (`SolverConfig::chrono_threshold`).
 
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::heap::VarHeap;
@@ -42,9 +34,6 @@ pub enum SolveResult {
 enum VarStatus {
     /// In the formula: decided, propagated and mentionable as usual.
     Active,
-    /// Removed by bounded variable elimination; its model value comes from
-    /// reconstruction over the elimination stack.
-    Eliminated,
     /// Given back by [`Solver::release_since`]; it occurs in no clause and
     /// reads `false` in every model.
     Released,
@@ -89,22 +78,6 @@ pub struct SolverConfig {
     pub learnt_size_factor: f64,
     /// Growth of the learnt-clause cap at each reduction.
     pub learnt_size_inc: f64,
-    /// Enable restart-boundary inprocessing: subsumption/self-subsumption,
-    /// clause vivification, and bounded variable elimination (see
-    /// [`Solver::inprocess`]). Every simplification emits DRAT, so proofs
-    /// stay checkable with inprocessing on.
-    pub inprocessing_enabled: bool,
-    /// Restarts before the *first* inprocessing round (1 = after the first
-    /// restart). The gap doubles after every round, so a long search sees
-    /// O(log restarts) rounds rather than paying the pass cost linearly.
-    pub inprocess_interval: u64,
-    /// Unit-propagation budget per vivification pass; bounds the work one
-    /// inprocessing round spends probing clauses.
-    pub vivify_budget: u64,
-    /// Bounded variable elimination skips variables whose positive×negative
-    /// occurrence product exceeds this cap (keeps resolvent generation
-    /// quadratic only on genuinely cheap variables).
-    pub bve_product_limit: usize,
     /// Chronological backtracking threshold: when a conflict's backjump
     /// would skip more than this many decision levels, backtrack just one
     /// level instead (Nadel & Ryvchin). `0` disables chronological
@@ -124,10 +97,6 @@ impl Default for SolverConfig {
             minimize_enabled: true,
             learnt_size_factor: 1.0 / 3.0,
             learnt_size_inc: 1.1,
-            inprocessing_enabled: true,
-            inprocess_interval: 4,
-            vivify_budget: 20_000,
-            bve_product_limit: 64,
             chrono_threshold: 100,
         }
     }
@@ -180,31 +149,15 @@ pub struct Solver {
     budget: Option<u64>,
     /// DRAT proof output, when enabled (see [`Solver::record_proof`]).
     proof: Option<ProofOut>,
-    /// Variables exempt from bounded variable elimination: anything the
-    /// caller may still mention in future clauses or assumptions (the
-    /// freeze contract — see [`Solver::freeze_var`]). Assumption variables
-    /// are frozen automatically by [`Solver::solve_with`].
-    frozen: Vec<bool>,
-    /// Per-variable membership in the formula. Eliminated and released
-    /// variables occur in no live clause, are skipped by decision
-    /// heuristics, and may not appear in newly added clauses or
-    /// assumptions; [`Solver::extend_model`] gives them model values.
+    /// Per-variable membership in the formula. Released variables occur in
+    /// no live clause, are skipped by decision heuristics, read `false` in
+    /// every model, and may not appear in newly added clauses or
+    /// assumptions.
     status: Vec<VarStatus>,
-    /// Clauses deleted by variable elimination, with the pivot literal each
-    /// contained. Walked in reverse on every SAT outcome to extend the
-    /// model so it satisfies the *original* formula.
-    elim_stack: Vec<(Lit, Vec<Lit>)>,
-    /// Restarts since the last inprocessing round (cadence counter).
-    restarts_since_inprocess: u64,
     /// Arena compactions so far. Clauses are only ever appended, shrunk in
     /// place or tombstoned, so between compactions every clause added
     /// after a [`SessionMark`] sits at or above the mark's slot count.
     compactions: u64,
-    /// Current restart gap before the next inprocessing round. Starts at
-    /// `config.inprocess_interval` and doubles after every round, so early
-    /// rounds strip the cheap redundancy while long searches are not
-    /// dominated by pass overhead. `0` means "not yet initialised".
-    inprocess_gap: u64,
     stats: Stats,
 }
 
@@ -251,12 +204,8 @@ impl Solver {
             conflict_core: Vec::new(),
             budget: None,
             proof: None,
-            frozen: Vec::new(),
             status: Vec::new(),
-            elim_stack: Vec::new(),
-            restarts_since_inprocess: 0,
             compactions: 0,
-            inprocess_gap: 0,
             stats: Stats::default(),
         }
     }
@@ -332,49 +281,9 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.frozen.push(false);
         self.status.push(VarStatus::Active);
         self.order.insert(v, &self.activity);
         v
-    }
-
-    /// Exempts a variable from bounded variable elimination, permanently.
-    ///
-    /// The freeze contract: any variable the caller may still mention in a
-    /// *future* `add_clause` or `solve_with` call must be frozen before
-    /// inprocessing can run, because an eliminated variable no longer exists
-    /// in the simplified formula (mentioning one afterwards panics).
-    /// Assumption variables are frozen automatically when passed to
-    /// [`Solver::solve_with`]; incremental encoders (e.g. `netarch-logic`)
-    /// freeze every variable they allocate.
-    pub fn freeze_var(&mut self, var: Var) {
-        self.frozen[var.index()] = true;
-    }
-
-    /// Re-admits a variable to bounded variable elimination, undoing
-    /// [`Solver::freeze_var`].
-    ///
-    /// The caller asserts that no *future* `add_clause` or `solve_with`
-    /// call will mention the variable (or that it will be re-frozen first):
-    /// once a later inprocessing round eliminates it, mentioning it panics.
-    /// This is how temporary pins — e.g. enumeration projections, which
-    /// only need their variables alive while blocking clauses are being
-    /// added — avoid exempting those variables from elimination for the
-    /// rest of an incremental session. Note that [`Solver::solve_with`]
-    /// freezes assumption variables permanently; thawing one of those
-    /// breaks that contract and is the caller's responsibility.
-    pub fn thaw_var(&mut self, var: Var) {
-        self.frozen[var.index()] = false;
-    }
-
-    /// True when the variable is exempt from variable elimination.
-    pub fn is_frozen(&self, var: Var) -> bool {
-        self.frozen[var.index()]
-    }
-
-    /// True when the variable has been removed by variable elimination.
-    pub fn is_eliminated(&self, var: Var) -> bool {
-        self.status[var.index()] == VarStatus::Eliminated
     }
 
     /// True when the variable has been given back by
@@ -383,8 +292,7 @@ impl Solver {
         self.status[var.index()] == VarStatus::Released
     }
 
-    /// True while `var` takes part in the search: not eliminated, not
-    /// released.
+    /// True while `var` takes part in the search: not released.
     #[inline]
     fn is_active(&self, vi: usize) -> bool {
         self.status[vi] == VarStatus::Active
@@ -421,8 +329,7 @@ impl Solver {
     /// since `mark` that is unassigned at the root and occurs in no live
     /// clause (original or learnt) is released; the others stay, so the
     /// formula and its models are unchanged. A released variable is never
-    /// decided, reads `false` in every later model, and — exactly like an
-    /// eliminated one, and whether or not it is frozen — may not appear in
+    /// decided, reads `false` in every later model, and may not appear in
     /// a later clause or assumption. Rebuilds the decision heap over the
     /// remaining variables and returns how many were released (0 when the
     /// instance is known unsatisfiable).
@@ -464,8 +371,8 @@ impl Solver {
         released
     }
 
-    /// Variables still in the search: neither eliminated, released, nor
-    /// fixed at the root. Read between solves.
+    /// Variables still in the search: neither released nor fixed at the
+    /// root. Read between solves.
     pub fn num_live_vars(&self) -> usize {
         (0..self.num_vars())
             .filter(|&vi| self.is_active(vi) && self.assigns[vi] == LBool::Undef)
@@ -518,9 +425,7 @@ impl Solver {
             );
             assert!(
                 self.is_active(l.var().index()),
-                "literal {l:?} references an eliminated or released variable; \
-                 variables mentioned by future clauses must be frozen \
-                 (Solver::freeze_var) before inprocessing runs, and never released"
+                "literal {l:?} references a released variable"
             );
         }
         c.sort_unstable();
@@ -598,14 +503,8 @@ impl Solver {
             );
             assert!(
                 self.is_active(l.var().index()),
-                "assumption {l:?} references an eliminated or released variable; \
-                 freeze variables assumed across solves (Solver::freeze_var), \
-                 and never release them"
+                "assumption {l:?} references a released variable"
             );
-            // Assumption variables are frozen permanently: callers reuse
-            // assumption literals across solves, so eliminating one between
-            // solves would invalidate the incremental session protocol.
-            self.frozen[l.var().index()] = true;
         }
         self.assumptions = assumptions.to_vec();
         self.backtrack_to(0);
@@ -631,10 +530,13 @@ impl Solver {
                     // keeping the solver immediately reusable.
                     self.model.clear();
                     self.model.extend_from_slice(&self.assigns);
-                    // Variables removed by elimination are unassigned in the
-                    // search; give them values satisfying the deleted
-                    // clauses so the model holds for the original formula.
-                    self.extend_model();
+                    // Released variables are never decided; give them a
+                    // definite value so the model stays total.
+                    for (val, status) in self.model.iter_mut().zip(&self.status) {
+                        if *status == VarStatus::Released {
+                            *val = LBool::False;
+                        }
+                    }
                     self.backtrack_to(0);
                     return SolveResult::Sat;
                 }
@@ -646,13 +548,6 @@ impl Solver {
                 SearchOutcome::Restart => {
                     self.stats.restarts += 1;
                     self.backtrack_to(0);
-                    // Restart boundaries are where inprocessing runs:
-                    // the trail is at root level, so clauses can be deleted,
-                    // strengthened, and resolved away without repair work.
-                    if !self.maybe_inprocess() {
-                        self.model.clear();
-                        return SolveResult::Unsat;
-                    }
                 }
                 SearchOutcome::BudgetExhausted => {
                     self.model.clear();
@@ -1045,10 +940,9 @@ impl Solver {
 
     fn pick_decision(&mut self) -> Option<Lit> {
         if self.config.vsids_enabled {
-            // Eliminated variables are skipped (they occur in no live clause
-            // and get their values from model reconstruction); dropping them
-            // from the heap here is permanent, since they are never assigned
-            // and thus never re-inserted by `backtrack_to`.
+            // Released variables are skipped (they occur in no live clause);
+            // dropping them from the heap here is permanent, since they are
+            // never assigned and thus never re-inserted by `backtrack_to`.
             while let Some(v) = self.order.pop_max(&self.activity) {
                 if self.assigns[v.index()] == LBool::Undef && self.is_active(v.index()) {
                     return Some(Lit::new(v, self.polarity[v.index()]));

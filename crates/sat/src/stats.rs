@@ -30,16 +30,6 @@ pub struct Stats {
     /// Root-satisfied clauses reclaimed by [`crate::Solver::simplify`]
     /// (mostly retired activation-gated clauses in incremental sessions).
     pub garbage_collected_clauses: u64,
-    /// Inprocessing rounds executed at restart boundaries.
-    pub inprocessings: u64,
-    /// Clauses deleted because another live clause subsumes them.
-    pub subsumed: u64,
-    /// Clauses strengthened by self-subsumption resolution.
-    pub strengthened: u64,
-    /// Variables removed by bounded variable elimination.
-    pub eliminated_vars: u64,
-    /// Clauses shortened by vivification probes.
-    pub vivified: u64,
     /// Conflicts resolved by chronological backtracking (one level) instead
     /// of a far non-chronological backjump.
     pub chrono_backtracks: u64,
@@ -62,11 +52,6 @@ impl Stats {
         self.deleted_clauses += other.deleted_clauses;
         self.retired_activations += other.retired_activations;
         self.garbage_collected_clauses += other.garbage_collected_clauses;
-        self.inprocessings += other.inprocessings;
-        self.subsumed += other.subsumed;
-        self.strengthened += other.strengthened;
-        self.eliminated_vars += other.eliminated_vars;
-        self.vivified += other.vivified;
         self.chrono_backtracks += other.chrono_backtracks;
     }
 }
@@ -77,8 +62,7 @@ impl fmt::Display for Stats {
             f,
             "solves={} decisions={} propagations={} conflicts={} restarts={} \
              learnt={} deleted={} minimized_lits={} retired={} gc={} \
-             inprocessings={} subsumed={} strengthened={} eliminated_vars={} \
-             vivified={} chrono_backtracks={}",
+             chrono_backtracks={}",
             self.solves,
             self.decisions,
             self.propagations,
@@ -89,11 +73,6 @@ impl fmt::Display for Stats {
             self.minimized_literals,
             self.retired_activations,
             self.garbage_collected_clauses,
-            self.inprocessings,
-            self.subsumed,
-            self.strengthened,
-            self.eliminated_vars,
-            self.vivified,
             self.chrono_backtracks,
         )
     }
@@ -105,13 +84,13 @@ mod tests {
 
     #[test]
     fn absorb_adds_fieldwise() {
-        let mut a = Stats { solves: 2, conflicts: 7, eliminated_vars: 1, ..Stats::default() };
-        let b = Stats { solves: 3, conflicts: 5, vivified: 4, ..Stats::default() };
+        let mut a = Stats { solves: 2, conflicts: 7, chrono_backtracks: 1, ..Stats::default() };
+        let b = Stats { solves: 3, conflicts: 5, garbage_collected_clauses: 4, ..Stats::default() };
         a.absorb(&b);
         assert_eq!(a.solves, 5);
         assert_eq!(a.conflicts, 12);
-        assert_eq!(a.eliminated_vars, 1);
-        assert_eq!(a.vivified, 4);
+        assert_eq!(a.chrono_backtracks, 1);
+        assert_eq!(a.garbage_collected_clauses, 4);
         // Absorbing the default is the identity.
         let before = a;
         a.absorb(&Stats::default());

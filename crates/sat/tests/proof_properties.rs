@@ -41,6 +41,13 @@ fn to_lits(clauses: &[RawClause]) -> Vec<Vec<Lit>> {
         .collect()
 }
 
+/// Restarts after every conflict and one-level chronological backtracking
+/// on every backjump of two or more levels: the most hostile schedule the
+/// configuration space allows for chronological backtracking.
+fn chrono_config() -> SolverConfig {
+    SolverConfig { restart_base: 1, chrono_threshold: 1, ..SolverConfig::default() }
+}
+
 /// Builds a recording solver over the clause list.
 fn recording_solver(num_vars: usize, clauses: &[Vec<Lit>], config: SolverConfig) -> Solver {
     let mut s = Solver::with_config(config);
@@ -116,6 +123,7 @@ fn ablated_configs_also_produce_checkable_proofs() {
             SolverConfig { minimize_enabled: false, ..SolverConfig::default() },
             SolverConfig { reduce_enabled: false, ..SolverConfig::default() },
             SolverConfig { restarts_enabled: false, ..SolverConfig::default() },
+            chrono_config(),
         ] {
             let mut s = recording_solver(num_vars, &clauses, config);
             if s.solve() == SolveResult::Unsat {
@@ -326,40 +334,78 @@ fn unsat_on_satisfiable_formula_is_rejected() {
 }
 
 #[test]
-fn aggressive_inprocessing_keeps_proofs_checkable() {
-    // Inprocessing every restart with restarts forced every conflict: the
-    // proof stream now carries subsumption deletions, strengthenings,
-    // vivification rewrites, and BVE resolvents, and must stay checkable.
-    prop::check(&Config::with_cases(128), gen_formula, |f| {
-        let (num_vars, raw) = normalize(f);
-        let clauses = to_lits(&raw);
-        let config = SolverConfig {
-            inprocess_interval: 1,
-            restart_base: 1,
-            chrono_threshold: 1,
-            ..SolverConfig::default()
-        };
-        let mut s = recording_solver(num_vars, &clauses, config);
-        if s.solve() == SolveResult::Unsat {
-            let proof = s.recorded_proof().expect("recording was enabled");
-            prop_assert_eq!(
-                check_refutation(num_vars, &clauses, proof),
-                Ok(()),
-                "checker rejected an inprocessed refutation"
-            );
+fn chrono_backtracking_agrees_with_plain_solver_and_certifies() {
+    // The brute-force-sized formulas above are too small for a backjump
+    // to skip two levels, so chronological backtracking is swept here on
+    // seeded random 3-SAT near the phase transition, half of it under
+    // assumptions. Verdicts must match a solver with chronological
+    // backtracking off; SAT models must satisfy the formula and the
+    // assumptions; UNSAT cores must be sound; and every UNSAT verdict must
+    // carry a refutation or core certificate the checker accepts.
+    let mut rng = Rng::seed_from_u64(0x1A9C_0FF5);
+    let (mut sat, mut unsat, mut chrono_backtracks) = (0usize, 0usize, 0u64);
+    for case in 0..160 {
+        let num_vars = rng.gen_range(18..=40usize);
+        let ratio = 3.5 + rng.gen_range(0..=25u32) as f64 / 10.0;
+        let clauses = random_3sat(&mut rng, num_vars, ratio);
+        let mut assumptions: Vec<Lit> = Vec::new();
+        if rng.gen_bool(0.5) {
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let v = Var::from_index(rng.gen_range(0..num_vars));
+                if assumptions.iter().all(|l| l.var() != v) {
+                    assumptions.push(Lit::new(v, rng.gen_bool(0.5)));
+                }
+            }
         }
-        Ok(())
-    });
+        let plain_config = SolverConfig { chrono_threshold: 0, ..SolverConfig::default() };
+        let expected = recording_solver(num_vars, &clauses, plain_config.clone())
+            .solve_with(&assumptions);
+        let mut s = recording_solver(num_vars, &clauses, chrono_config());
+        let got = s.solve_with(&assumptions);
+        assert_eq!(got, expected, "case {case}: chronological backtracking changed the verdict");
+        chrono_backtracks += s.stats().chrono_backtracks;
+        match got {
+            SolveResult::Sat => {
+                sat += 1;
+                let lit_true = |l: &Lit| s.model_lit_value(*l) == Some(true);
+                assert!(
+                    clauses.iter().all(|c| c.iter().any(lit_true))
+                        && assumptions.iter().all(lit_true),
+                    "case {case}: model violates the formula"
+                );
+            }
+            SolveResult::Unsat => {
+                unsat += 1;
+                let proof = s.recorded_proof().expect("recording was enabled");
+                let core = s.unsat_core().to_vec();
+                assert!(core.iter().all(|l| assumptions.contains(l)), "case {case}: core");
+                let mut replay = recording_solver(num_vars, &clauses, plain_config);
+                assert_eq!(replay.solve_with(&core), SolveResult::Unsat, "case {case}: core");
+                let certified = if assumptions.is_empty() {
+                    check_refutation(num_vars, &clauses, proof)
+                } else {
+                    check_refutation_under_assumptions(num_vars, &clauses, proof, &core)
+                };
+                assert_eq!(certified, Ok(()), "case {case}: checker rejected the certificate");
+            }
+            SolveResult::Unknown => panic!("case {case}: unbounded solve returned Unknown"),
+        }
+    }
+    // The sweep must reach both verdicts and actually backtrack
+    // chronologically, or it proves nothing about the schedule under test.
+    assert!(sat >= 20, "degenerate sweep: only {sat} SAT cases");
+    assert!(unsat >= 20, "degenerate sweep: only {unsat} UNSAT cases");
+    assert!(chrono_backtracks > 0, "sweep never backtracked chronologically");
 }
 
-/// A formula whose refutation needs real resolution: BVE on `x` over
-/// `(a ∨ x) ∧ (b ∨ ¬x)` yields the resolvent `(a ∨ b)`, and the 2×2 block
+/// A formula whose refutation needs real resolution: resolving
+/// `(a ∨ x) ∧ (b ∨ ¬x)` on `x` yields `(a ∨ b)`, and the 2×2 block
 /// over `p, q` is unsatisfiable but not unit-refutable, so no tampered
 /// step can lean on pre-existing units being propagated for free. The
 /// clauses `(¬a ∨ r)` and `(¬b ∨ s)` give `¬a`/`¬b` live occurrences, so
 /// a forged clause with pivot `a` cannot slip through the checker's RAT
 /// fallback as a vacuous pure-literal case.
-fn bve_shaped_formula() -> (usize, Vec<Vec<Lit>>) {
+fn resolution_formula() -> (usize, Vec<Vec<Lit>>) {
     let v = |i: usize| Var::from_index(i).positive();
     let (a, b, x, p, q, r, s) = (v(0), v(1), v(2), v(3), v(4), v(5), v(6));
     let clauses = vec![
@@ -375,9 +421,9 @@ fn bve_shaped_formula() -> (usize, Vec<Vec<Lit>>) {
     (7, clauses)
 }
 
-/// The honest certificate for [`bve_shaped_formula`]: the BVE resolvent,
+/// The honest certificate for [`resolution_formula`]: the resolvent,
 /// deletion of its parents, then the unit `p` and the empty clause.
-fn bve_shaped_proof() -> Vec<ProofStep> {
+fn resolution_proof() -> Vec<ProofStep> {
     let v = |i: usize| Var::from_index(i).positive();
     let (a, b, x, p) = (v(0), v(1), v(2), v(3));
     vec![
@@ -390,11 +436,11 @@ fn bve_shaped_proof() -> Vec<ProofStep> {
 }
 
 #[test]
-fn tampered_bve_resolvent_is_rejected() {
-    let (num_vars, clauses) = bve_shaped_formula();
-    // The honest BVE-shaped certificate is accepted…
+fn tampered_resolvent_is_rejected() {
+    let (num_vars, clauses) = resolution_formula();
+    // The honest certificate is accepted…
     let mut honest = DratProof::new();
-    for step in bve_shaped_proof() {
+    for step in resolution_proof() {
         honest.push(step);
     }
     assert_eq!(check_refutation(num_vars, &clauses, &honest), Ok(()));
@@ -403,7 +449,7 @@ fn tampered_bve_resolvent_is_rejected() {
     // and must be rejected at exactly that step.
     let v = |i: usize| Var::from_index(i).positive();
     let mut tampered = DratProof::new();
-    for (i, step) in bve_shaped_proof().into_iter().enumerate() {
+    for (i, step) in resolution_proof().into_iter().enumerate() {
         tampered.push(if i == 0 { ProofStep::Add(vec![v(0)]) } else { step });
     }
     assert!(
@@ -411,7 +457,7 @@ fn tampered_bve_resolvent_is_rejected() {
             check_refutation(num_vars, &clauses, &tampered),
             Err(CheckError::NotRedundant { step: 0, .. })
         ),
-        "checker accepted a tampered BVE resolvent"
+        "checker accepted a tampered resolvent"
     );
 }
 
@@ -421,7 +467,7 @@ fn forged_deletion_of_needed_clause_is_rejected() {
     // a clause later steps still need must surface as a failed RUP check on
     // the first step that relied on it. Here the deleted `(p ∨ q)` is the
     // clause that makes the unit `p` RUP.
-    let (num_vars, clauses) = bve_shaped_formula();
+    let (num_vars, clauses) = resolution_formula();
     let v = |i: usize| Var::from_index(i).positive();
     let (p, q) = (v(3), v(4));
     let mut forged = DratProof::new();

@@ -87,10 +87,8 @@ fn adding_a_released_variable_to_a_clause_panics() {
 
 #[test]
 #[should_panic(expected = "released variable")]
-fn assuming_a_frozen_released_variable_panics() {
+fn assuming_a_released_variable_panics() {
     let (mut s, mark, g, aux) = session_with_gated_encoding();
-    // The freeze flag guards against elimination only; release overrides it.
-    s.freeze_var(aux[1]);
     s.retire(g);
     assert_eq!(s.release_since(mark), aux.len());
     s.solve_with(&[aux[1].positive()]);

@@ -92,10 +92,6 @@ pub fn summary(responses: &[Response], stats: &ServiceStats, elapsed_micros: u64
         "compiles": stats.compiles(),
         "sessions_retained": stats.shards.iter().map(|s| s.sessions_retained).sum::<u64>(),
         "learnt_clauses": stats.learnt_clauses(),
-        "subsumed": stats.shards.iter().map(|s| s.subsumed).sum::<u64>(),
-        "strengthened": stats.shards.iter().map(|s| s.strengthened).sum::<u64>(),
-        "eliminated_vars": stats.shards.iter().map(|s| s.eliminated_vars).sum::<u64>(),
-        "vivified": stats.shards.iter().map(|s| s.vivified).sum::<u64>(),
         "chrono_backtracks": stats.shards.iter().map(|s| s.chrono_backtracks).sum::<u64>(),
         "shards": stats.shards.len() as u64,
         "qps": qps,

@@ -16,7 +16,7 @@ fn load(area: &str) -> Json {
 
 #[test]
 fn every_trajectory_file_names_its_experiment() {
-    for area in ["scaling", "incremental", "parse", "serve", "inprocess", "sweep"] {
+    for area in ["scaling", "incremental", "parse", "serve", "sweep"] {
         let v = load(area);
         assert_eq!(
             v.get("experiment").and_then(Json::as_str),
